@@ -17,7 +17,8 @@ from repro.baselines import create as create_baseline
 from repro.bench.harness import Experiment
 from repro.engine import Database
 from repro.errors import CapabilityError
-from repro.storage import compression, tpch
+from repro.storage import tpch
+from repro.storage.codecs import ForCodec
 from repro.workloads.tpch_queries import Q1_SQL
 
 PAPER_UP_MS = {None: 684.67, 2: 685.00, 4: 754.67, 8: 1135.33, 16: 2610.33, 32: 6164.33}
@@ -127,12 +128,16 @@ def run_compression_study(
         raw_total = 0
         compressed_total = 0
         for column_name in ("l_quantity", "l_extendedprice"):
-            column = relation.column(column_name)
-            spec = column.column_type.spec
-            packed = compression.compress(column.unscaled(), spec)
-            raw_total += packed.original_bytes
-            compressed_total += packed.compressed_bytes
-            assert packed.decompress() == column.unscaled()
+            column = relation.column(column_name).with_codec(ForCodec())
+            encoding = column.encoding()
+            raw_total += column.bytes_stored
+            compressed_total += encoding.wire_bytes
+            decoded = [
+                value
+                for chunk in encoding.chunks
+                for value in encoding.codec.decode_chunk(chunk, encoding.spec)
+            ]
+            assert decoded == column.unscaled()
         scale = simulate_rows / rows
         raw_time = pcie_time(int(raw_total * scale))
         compressed_time = pcie_time(int(compressed_total * scale))

@@ -27,6 +27,7 @@ from repro.engine.plan.physical import (
     ProjectOp,
     ScanOp,
     SortOp,
+    choose_chunk_rows,
 )
 from repro.engine.sql.ast_nodes import AggregateCall, Query
 from repro.gpusim import profiler as gpu_profiler
@@ -199,15 +200,15 @@ def explain_query(
             transfer_bytes = simulate_rows * sum(
                 compiled.kernel.input_columns[column].compact_bytes for column in fresh
             )
-            if cost_model is not None and optimizer is not None and optimizer.choose_streaming:
-                # Mirror the executor's cost-based chunk choice.
-                chunk_rows = cost_model.choose_chunk_rows(
-                    compiled.kernel, simulate_rows, streaming, transfer_bytes
-                )
-            else:
-                chunk_rows = streaming.resolve_chunk_rows(
-                    compiled.kernel, device, simulate_rows
-                )
+            chunk_rows = choose_chunk_rows(
+                compiled.kernel,
+                simulate_rows,
+                transfer_bytes,
+                streaming,
+                device,
+                cost_model,
+                optimizer,
+            )
             timing = stream_timing(
                 compiled.kernel,
                 simulate_rows,

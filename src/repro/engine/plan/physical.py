@@ -24,7 +24,6 @@ from repro.core.multithread import aggregation as mt_aggregation
 from repro.engine.plan.cost import CostEstimate, CostModel, OptimizerConfig
 from repro.engine.sql.ast_nodes import AggregateCall, Comparison, OrderKey, SelectItem
 from repro.errors import ExecutionError, PlanningError, StorageError
-from repro.gpusim import executor as gpu_executor
 from repro.gpusim import occupancy as gpu_occupancy
 from repro.gpusim import timing as gpu_timing
 from repro.gpusim.residency import DeviceResidency
@@ -39,10 +38,13 @@ from repro.storage.schema import CharType, DateType, DecimalType, DoubleType
 class KernelExecution:
     """Per-kernel launch record: chunking and pipelined-vs-serial timing.
 
-    On the serial path ``chunks=1`` and the two times coincide; on the
-    streamed path ``pipelined_seconds`` is what the report charges while
-    ``serial_seconds`` is what the unchunked path would have cost, so
+    Every launch runs through :func:`execute_streamed`.  With streaming off
+    (``streamed=False``) it is one chunk, so the two times coincide.  With
+    streaming on, ``pipelined_seconds`` is what the report charges while
+    ``serial_seconds`` is what the unchunked launch would have cost, so
     ``overlap_speedup`` is the per-kernel win from transfer/compute overlap.
+    Times come from the simulated rows alone: an empty batch is charged as
+    one chunk of one simulated row.
     """
 
     name: str
@@ -348,7 +350,7 @@ class FilterOp(PhysicalOp):
 
 
 class _JoinOp(PhysicalOp):
-    """Shared right-side handling for the inner equi-join algorithms.
+    """Shared right-side handling and match kernel for the equi-joins.
 
     The joined relation is scanned and shipped over PCIe like any other
     input.  Build-side predicates (sunk here by the filter-pushdown rule)
@@ -419,20 +421,27 @@ class _JoinOp(PhysicalOp):
         sim_right = right_relation.rows * right_scale * survival
         return right_relation, keep, sim_right
 
-    def _right_keys(self, right_relation: Relation, keep: Optional[np.ndarray]) -> List:
-        column = right_relation.column(self.join.right_column)
-        if keep is not None:
-            column = column.take(keep)
-        return _grouping_key(column)
-
-    def _emit(
-        self,
-        batch: Batch,
-        right_relation: Relation,
-        keep: Optional[np.ndarray],
-        left_indices: List[int],
-        right_indices: List[int],
+    def _join(
+        self, batch: Batch, right_relation: Relation, keep: Optional[np.ndarray]
     ) -> Batch:
+        """Match keys and gather both sides, in left-major, right-scan order.
+
+        One build/probe serves both algorithms: the right side's rows are
+        bucketed by key in scan order, and each left row emits its bucket.
+        """
+        right_key_column = right_relation.column(self.join.right_column)
+        if keep is not None:
+            right_key_column = right_key_column.take(keep)
+        build: Dict = {}
+        for row, key in enumerate(_grouping_key(right_key_column)):
+            build.setdefault(key, []).append(row)
+        left_indices: List[int] = []
+        right_indices: List[int] = []
+        for row, key in enumerate(_grouping_key(batch.column(self.join.left_column))):
+            for match in build.get(key, ()):
+                left_indices.append(row)
+                right_indices.append(match)
+
         match_ratio = len(left_indices) / max(batch.rows, 1)
         left_take = np.asarray(left_indices, dtype=np.int64)
         right_take = np.asarray(right_indices, dtype=np.int64)
@@ -464,25 +473,10 @@ class HashJoinOp(_JoinOp):
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         assert batch is not None
         right_relation, keep, sim_right = self._prepare_right(context)
-
-        left_keys = _grouping_key(batch.column(self.join.left_column))
-        right_keys = self._right_keys(right_relation, keep)
-
-        build: Dict = {}
-        for row, key in enumerate(right_keys):
-            build.setdefault(key, []).append(row)
-
-        left_indices: List[int] = []
-        right_indices: List[int] = []
-        for row, key in enumerate(left_keys):
-            for match in build.get(key, ()):
-                left_indices.append(row)
-                right_indices.append(match)
-
         context.report.filter_seconds += gpu_timing.hash_join_time(
             batch.simulated_rows, sim_right, context.device
         )
-        return self._emit(batch, right_relation, keep, left_indices, right_indices)
+        return self._join(batch, right_relation, keep)
 
 
 class NestedLoopJoinOp(_JoinOp):
@@ -490,30 +484,18 @@ class NestedLoopJoinOp(_JoinOp):
 
     The cost model picks this over the hash join only when the build side
     is tiny: it saves the build pass and a kernel launch at the price of
-    O(left x right) streamed key comparisons.  Matches are emitted in the
-    same left-major, right-scan order as the hash join, so the two
-    algorithms are interchangeable bit-exactly.
+    O(left x right) streamed key comparisons.  Only the simulated cost
+    differs from the hash join: both share one match kernel, so their
+    output rows and order are identical.
     """
 
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         assert batch is not None
         right_relation, keep, sim_right = self._prepare_right(context)
-
-        left_keys = _grouping_key(batch.column(self.join.left_column))
-        right_keys = self._right_keys(right_relation, keep)
-
-        left_indices: List[int] = []
-        right_indices: List[int] = []
-        for row, key in enumerate(left_keys):
-            for match, right_key in enumerate(right_keys):
-                if key == right_key:
-                    left_indices.append(row)
-                    right_indices.append(match)
-
         context.report.filter_seconds += gpu_timing.nested_loop_join_time(
             batch.simulated_rows, sim_right, context.device
         )
-        return self._emit(batch, right_relation, keep, left_indices, right_indices)
+        return self._join(batch, right_relation, keep)
 
 
 class ProjectOp(PhysicalOp):
@@ -554,7 +536,11 @@ class ProjectOp(PhysicalOp):
 
 
 class AggregateOp(PhysicalOp):
-    """Ungrouped aggregation via the multi-threaded multi-pass reducer."""
+    """Ungrouped aggregation via the multi-threaded multi-pass reducer.
+
+    The engine has no NULL, so SUM/AVG/MIN/MAX over zero rows raise
+    :class:`ExecutionError`; ``COUNT(*)`` returns 0.
+    """
 
     def __init__(self, items: List[SelectItem]):
         self.items = items
@@ -570,6 +556,10 @@ class AggregateOp(PhysicalOp):
                 spec = inference.count_spec(sim_n)
                 out[item.name] = Column.decimal_from_unscaled(item.name, [batch.rows], spec)
                 continue
+            if batch.rows == 0:
+                raise ExecutionError(
+                    f"{call} over zero rows has no value (the engine has no NULL)"
+                )
             vector = _evaluate_expression(
                 call.argument, batch, context, kernel_name=f"agg_expr_{index}"
             )
@@ -816,58 +806,26 @@ def _evaluate_expression(
                 [compiled.kernel], include_base=include_base
             )
         context.report.kernels_compiled += 1
-    inputs = {
-        name: batch.column(name).data for name in compiled.kernel.input_columns
-    }
+    kernel = compiled.kernel
+    inputs = {name: batch.column(name).data for name in kernel.input_columns}
+    # Simulated time comes from the simulated row count only; the real rows
+    # (possibly none) drive the data plane.  Columns whose scan-time
+    # transfer is still pending stream their H2D copy with this kernel.
     sim = max(int(round(batch.simulated_rows)), 1)
-    if context.streaming.enabled:
-        return _execute_streamed_kernel(compiled.kernel, inputs, batch, sim, context)
-    started = time.perf_counter()
-    run = gpu_executor.execute(
-        compiled.kernel, inputs, batch.rows, device=context.device, simulate_tuples=sim
-    )
-    elapsed = time.perf_counter() - started
-    context.report.kernel_seconds += run.timing.seconds
-    context.report.data_plane_seconds += elapsed
-    context.report.kernel_executions.append(
-        KernelExecution(
-            name=compiled.kernel.name,
-            expression=compiled.kernel.expression_sql,
-            chunks=1,
-            streamed=False,
-            transfer_seconds_per_chunk=0.0,
-            kernel_seconds_per_chunk=run.timing.seconds,
-            serial_seconds=run.timing.seconds,
-            pipelined_seconds=run.timing.seconds,
-            data_plane_seconds=elapsed,
-            occupancy=run.timing.occupancy.occupancy,
-        )
-    )
-    return run.result
-
-
-def _execute_streamed_kernel(
-    kernel, inputs: Dict[str, np.ndarray], batch: Batch, sim: int, context: QueryContext
-) -> DecimalVector:
-    """Run one kernel through the chunked streaming path.
-
-    Only columns not yet resident on the device (their scan-time transfer
-    is still pending) contribute to the overlapped H2D copy; the report
-    splits the pipelined total into pure compute (``kernel_seconds``) and
-    the exposed, non-overlapped transfer remainder (``pcie_seconds``), so
-    ``report.total_seconds`` reflects the pipelined time.
-    """
     transfer_bytes = 0.0
     if context.include_transfer:
         for column in kernel.input_columns:
             transfer_bytes += context.pending_transfer.pop(column, 0.0)
         context.report.pcie_bytes += transfer_bytes
-    if context.cost_model is not None and context.optimizer.choose_streaming:
-        chunk_rows = context.cost_model.choose_chunk_rows(
-            kernel, sim, context.streaming, transfer_bytes
-        )
-    else:
-        chunk_rows = context.streaming.resolve_chunk_rows(kernel, context.device, sim)
+    chunk_rows = choose_chunk_rows(
+        kernel,
+        sim,
+        transfer_bytes,
+        context.streaming,
+        context.device,
+        context.cost_model,
+        context.optimizer,
+    )
     started = time.perf_counter()
     run = execute_streamed(
         kernel,
@@ -879,6 +837,8 @@ def _execute_streamed_kernel(
         transfer_bytes=int(transfer_bytes),
     )
     elapsed = time.perf_counter() - started
+    # The pipelined total splits into pure compute (``kernel_seconds``) and
+    # the exposed, non-overlapped transfer remainder (``pcie_seconds``).
     compute_total = run.kernel_seconds_per_chunk * run.chunks
     context.report.kernel_seconds += compute_total
     context.report.pcie_seconds += max(run.pipelined_seconds - compute_total, 0.0)
@@ -888,7 +848,7 @@ def _execute_streamed_kernel(
             name=kernel.name,
             expression=kernel.expression_sql,
             chunks=run.chunks,
-            streamed=True,
+            streamed=context.streaming.enabled,
             transfer_seconds_per_chunk=run.transfer_seconds_per_chunk,
             kernel_seconds_per_chunk=run.kernel_seconds_per_chunk,
             serial_seconds=run.serial_seconds,
@@ -898,6 +858,29 @@ def _execute_streamed_kernel(
         )
     )
     return run.result
+
+
+def choose_chunk_rows(
+    kernel,
+    simulate_rows: int,
+    transfer_bytes: float,
+    streaming: StreamingConfig,
+    device: GpuDevice,
+    cost_model: Optional[CostModel] = None,
+    optimizer: Optional[OptimizerConfig] = None,
+) -> int:
+    """Simulated rows per stream chunk for one kernel launch.
+
+    With streaming off the whole batch is one chunk (the serial launch);
+    otherwise the cost model picks the size when the optimizer allows it,
+    else the streaming config's explicit or auto-sized chunk.  The
+    executor and EXPLAIN both size chunks here.
+    """
+    if not streaming.enabled:
+        return simulate_rows
+    if cost_model is not None and optimizer is not None and optimizer.choose_streaming:
+        return cost_model.choose_chunk_rows(kernel, simulate_rows, streaming, transfer_bytes)
+    return streaming.resolve_chunk_rows(kernel, device, simulate_rows)
 
 
 def _flush_pending_transfer(context: QueryContext, columns) -> None:

@@ -39,7 +39,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.engine.session import Database, QueryResult
@@ -237,16 +237,15 @@ class SessionServer:
         except asyncio.TimeoutError:
             cancel.set()
             # The worker observes the flag at its next operator boundary;
-            # wait for it so no stale thread keeps running, and swallow
-            # whichever way the race resolved (QueryCancelledError, or the
-            # query finished just as the deadline hit -- the result is
-            # dropped either way).
+            # wait for it so no stale thread keeps running.  However the
+            # race resolved (cancelled, finished, or failed after the
+            # deadline) the result is dropped, but a failure is counted.
             try:
                 await future
             except QueryCancelledError:
                 self.stats.cancelled += 1
             except Exception:
-                pass
+                self.stats.failed += 1
             self.stats.timed_out += 1
             raise QueryTimeoutError(
                 f"query exceeded {timeout}s and was cancelled: {sql!r}"

@@ -13,10 +13,13 @@ per-chunk transfer and kernel stages::
 
 compared with the serial ``transfer_total + kernel_total``.
 
-:class:`StreamingConfig` is the engine-facing knob: the ``Database``
-facade threads it through :class:`~repro.engine.plan.physical.QueryContext`
-to the projection/aggregation operators, which route every JIT kernel
-through this module instead of the monolithic executor.
+It is the engine's only kernel-launch path.  A serial launch is the
+one-chunk case: ``chunk_rows`` equal to the simulated rows and no
+deferred transfer, which charges exactly the executor's kernel time and
+runs the kernel once over the whole input.  :class:`StreamingConfig` is
+the engine-facing knob: the ``Database`` facade threads it through
+:class:`~repro.engine.plan.physical.QueryContext` to the operators, and
+with streaming enabled a launch splits into several chunks.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import numpy as np
 from repro.core.decimal.vectorized import DecimalVector
 from repro.core.jit import ir
 from repro.errors import ExecutionError
+from repro.gpusim import executor
 from repro.gpusim.device import DEFAULT_DEVICE, GpuDevice
-from repro.gpusim.executor import execute
 from repro.gpusim.timing import kernel_time, pcie_time
 
 #: Default rows per stream chunk.
@@ -146,22 +149,11 @@ def stream_timing(
     return StreamTiming(chunks, transfer, compute)
 
 
-@dataclass
-class StreamedRun:
+@dataclass(frozen=True)
+class StreamedRun(StreamTiming):
     """Result + pipelined timing of a chunked kernel execution."""
 
     result: DecimalVector
-    chunks: int
-    transfer_seconds_per_chunk: float
-    kernel_seconds_per_chunk: float
-    serial_seconds: float
-    pipelined_seconds: float
-
-    @property
-    def overlap_speedup(self) -> float:
-        if self.pipelined_seconds == 0:
-            return 1.0
-        return self.serial_seconds / self.pipelined_seconds
 
 
 def execute_streamed(
@@ -177,63 +169,43 @@ def execute_streamed(
 
     ``tuples`` real rows are processed (in ``ceil(tuples / real_chunk)``
     chunks sized proportionally to the simulated chunking); timing uses
-    ``simulate_tuples`` split into ``chunk_rows`` chunks.  An empty input
-    (``tuples=0``) is a valid no-op: the run carries an empty result
-    vector, ``chunks=0`` and zero timings.
+    ``simulate_tuples`` split into ``chunk_rows`` chunks.  Simulated time
+    depends only on ``simulate_tuples``: an empty input (``tuples=0``) is
+    charged like any other batch of that simulated size and carries an
+    empty result vector.  A single chunk runs the kernel once over the
+    whole input, with no slicing or concatenation.
     """
     if chunk_rows < 1:
         raise ExecutionError("chunk_rows must be positive")
-    if tuples == 0:
-        return StreamedRun(
-            result=_empty_vector(kernel),
-            chunks=0,
-            transfer_seconds_per_chunk=0.0,
-            kernel_seconds_per_chunk=0.0,
-            serial_seconds=0.0,
-            pipelined_seconds=0.0,
-        )
     timing = stream_timing(
         kernel, simulate_tuples, chunk_rows, device, transfer_bytes=transfer_bytes
     )
-    chunks = max(timing.chunks, 1)
 
     # Real data plane: process in the same number of chunks.
-    real_chunk = max(1, math.ceil(tuples / chunks))
-    pieces: List[DecimalVector] = []
-    for start in range(0, tuples, real_chunk):
-        stop = min(start + real_chunk, tuples)
-        piece = execute(
-            kernel,
-            {name: data[start:stop] for name, data in columns.items()},
-            stop - start,
-            device=device,
-            simulate_tuples=stop - start,
+    real_chunk = max(1, math.ceil(tuples / max(timing.chunks, 1)))
+    if tuples <= real_chunk:
+        result = executor.execute(kernel, columns, tuples, device=device).result
+    else:
+        result = _concatenate(
+            [
+                executor.execute(
+                    kernel,
+                    {name: data[start : start + real_chunk] for name, data in columns.items()},
+                    min(real_chunk, tuples - start),
+                    device=device,
+                ).result
+                for start in range(0, tuples, real_chunk)
+            ]
         )
-        pieces.append(piece.result)
-    result = _concatenate(pieces)
-
     return StreamedRun(
-        result=result,
-        chunks=timing.chunks,
-        transfer_seconds_per_chunk=timing.transfer_seconds_per_chunk,
-        kernel_seconds_per_chunk=timing.kernel_seconds_per_chunk,
-        serial_seconds=timing.serial_seconds,
-        pipelined_seconds=timing.pipelined_seconds,
-    )
-
-
-def _empty_vector(kernel: ir.KernelIR) -> DecimalVector:
-    spec = kernel.result_spec
-    return DecimalVector(
-        spec,
-        np.zeros(0, dtype=bool),
-        np.zeros((0, spec.words), dtype=np.uint32),
+        timing.chunks,
+        timing.transfer_seconds_per_chunk,
+        timing.kernel_seconds_per_chunk,
+        result,
     )
 
 
 def _concatenate(pieces: List[DecimalVector]) -> DecimalVector:
-    if not pieces:
-        raise ExecutionError("no chunks were executed")
     spec = pieces[0].spec
     negative = np.concatenate([piece.negative for piece in pieces])
     words = np.concatenate([piece.words for piece in pieces], axis=0)

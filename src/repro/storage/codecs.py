@@ -14,7 +14,9 @@ cross PCIe.  This module turns bytes-on-the-wire into a per-column choice:
   (``RANGE005``, :func:`repro.analysis.ranges.prove_narrow_container`).
   Constructing it without a proof raises; encoding re-validates every
   value so an observed-interval proof can never be silently violated by
-  later appends.
+  later appends;
+* :class:`ForCodec` -- frame-of-reference deltas from each chunk's
+  minimum, the paper's FOR case study (never chosen automatically).
 
 Every codec (compact included) records a :class:`ZoneMap` per chunk at
 encode time -- min/max unscaled value, null and zero counts -- so scans
@@ -301,6 +303,32 @@ class NarrowCodec(DecimalCodec):
 
     def compare_chunk(self, chunk, literal):
         return dinf.compare(chunk.data, literal)
+
+
+class ForCodec(DecimalCodec):
+    """Frame-of-reference encoding (section IV-D1's compression case study).
+
+    Each chunk stores its zone minimum once, at the column's compact width,
+    plus every value's delta from it in the fewest whole bytes the chunk's
+    largest delta needs (big-endian).  TPC-H quantities and prices span
+    small ranges, so their deltas stay narrow however wide the declared
+    precision.  Deltas do not compare like values across chunks, so the
+    codec is not order-preserving, and :func:`choose_codec` never picks it.
+    """
+
+    name = "for"
+    order_preserving = False
+
+    def _encode_chunk(self, values, compact_slice, spec):
+        reference = min(values)
+        width = max(1, ((max(values) - reference).bit_length() + 7) // 8)
+        raw = b"".join((v - reference).to_bytes(width, "big") for v in values)
+        data = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), width)
+        return data, None, spec.compact_bytes + width * len(values)
+
+    def decode_chunk(self, chunk, spec):
+        reference = chunk.zone.min_unscaled
+        return [reference + int.from_bytes(row.tobytes(), "big") for row in chunk.data]
 
 
 def choose_codec(

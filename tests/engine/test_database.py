@@ -6,7 +6,7 @@ import pytest
 from repro.core.decimal import inference
 from repro.core.decimal.context import DecimalSpec
 from repro.engine import Database
-from repro.errors import CatalogError, PlanningError
+from repro.errors import CatalogError, ExecutionError, PlanningError
 from repro.storage import Column, Relation
 from repro.storage.datagen import decimal_column
 
@@ -201,3 +201,26 @@ class TestReports:
         db, _ = make_db()
         with pytest.raises(CatalogError):
             db.execute("SELECT a FROM nope")
+
+
+class TestZeroRowAggregates:
+    @staticmethod
+    def make_db():
+        db = Database()
+        db.create_table(
+            "t", {"g": "CHAR(1)", "q": "DECIMAL(6, 2)"}, rows=[("A", "1.00"), ("B", "2.00")]
+        )
+        return db
+
+    @pytest.mark.parametrize("function", ["SUM", "AVG", "MIN", "MAX"])
+    def test_ungrouped_aggregate_raises_typed_error(self, function):
+        with pytest.raises(ExecutionError, match=rf"{function}\(q\) over zero rows"):
+            self.make_db().execute(f"SELECT {function}(q) FROM t WHERE q < 0")
+
+    def test_count_star_is_zero(self):
+        result = self.make_db().execute("SELECT COUNT(*) FROM t WHERE q < 0")
+        assert result.scalar.unscaled == 0
+
+    def test_grouped_aggregate_returns_no_groups(self):
+        result = self.make_db().execute("SELECT g, SUM(q) FROM t WHERE q < 0 GROUP BY g")
+        assert result.rows == []

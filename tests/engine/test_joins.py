@@ -97,3 +97,52 @@ class TestHashJoin:
             "SELECT SUM(o_total * i_qty) FROM items JOIN orders ON i_orderkey = o_orderkey"
         ).format()
         assert "HashJoin orders [i_orderkey = o_orderkey]" in text
+
+
+class TestJoinAlgorithmsAgree:
+    """Hash and nested-loop joins share one match kernel: same rows, same order."""
+
+    @staticmethod
+    def forced(monkeypatch, algorithm):
+        from repro.engine.plan.cost import CostModel
+
+        choose = CostModel.choose_join
+
+        def force(self, *args):
+            _name, _winner, candidates = choose(self, *args)
+            return algorithm, candidates[algorithm], candidates
+
+        monkeypatch.setattr(CostModel, "choose_join", force)
+
+    @staticmethod
+    def make_db():
+        db = Database()
+        db.create_table(
+            "l",
+            {"lk": "INT", "lc": "CHAR(4)", "v": "INT"},
+            rows=[(2, "ab", 1), (1, "x", 2), (2, "ab  ", 3), (3, "zz", 4), (1, "x ", 5)],
+        )
+        db.create_table(
+            "r",
+            {"rk": "INT", "rc": "CHAR(6)", "w": "INT"},
+            rows=[(1, "x", 10), (2, "ab", 20), (1, "x   ", 30), (2, "ab ", 40), (4, "q", 50)],
+        )
+        return db
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT v, w FROM l JOIN r ON lk = rk",
+            "SELECT v, w FROM l JOIN r ON lc = rc",
+        ],
+    )
+    def test_duplicate_and_padded_keys(self, monkeypatch, sql):
+        results = {}
+        for algorithm, label in (("hash", "HashJoin"), ("nested-loop", "NestedLoopJoin")):
+            with monkeypatch.context() as patch:
+                self.forced(patch, algorithm)
+                db = self.make_db()
+                assert any(op.startswith(label) for op in db.explain(sql).operators)
+                results[algorithm] = db.execute(sql).rows
+        expected = [(1, 20), (1, 40), (2, 10), (2, 30), (3, 20), (3, 40), (5, 10), (5, 30)]
+        assert results["hash"] == results["nested-loop"] == expected

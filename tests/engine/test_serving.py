@@ -187,6 +187,24 @@ class TestTimeoutAndCancellation:
         served = asyncio.run(main())
         assert served.rows == make_database().execute(SQL).rows
 
+    def test_worker_failing_after_deadline_is_counted(self):
+        class FailingAfterDeadline(Database):
+            """Notices the deadline, then fails with a non-cancel error."""
+
+            def execute(self, sql, **kwargs):
+                while not kwargs["cancel_check"]():
+                    threading.Event().wait(0.005)
+                raise RuntimeError("worker broke after the deadline")
+
+        async def main():
+            async with SessionServer(make_database(FailingAfterDeadline)) as server:
+                with pytest.raises(QueryTimeoutError):
+                    await server.session("s0").execute(SQL, timeout=0.02)
+                return server.stats
+
+        stats = asyncio.run(main())
+        assert (stats.timed_out, stats.cancelled, stats.failed) == (1, 0, 1)
+
     def test_engine_level_cancel_check(self):
         database = make_database()
         with pytest.raises(QueryCancelledError):

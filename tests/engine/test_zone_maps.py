@@ -5,7 +5,6 @@ Scan-time chunk pruning (byte accounting), encoded-byte filter evaluation
 model zone-refined selectivity, and append snapshot isolation.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.decimal.context import DecimalSpec

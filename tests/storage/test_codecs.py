@@ -17,7 +17,6 @@ from repro.storage.codecs import (
     choose_codec,
 )
 from repro.storage.column import Column
-from repro.storage.schema import DecimalType
 
 #: Values crossing every interesting boundary: sign flips, zero, the
 #: 1/2/8-byte magnitude-length edges, and wide (>uint64) magnitudes.

@@ -101,11 +101,9 @@ class TestEngineRobustness:
     def test_empty_table_aggregation(self):
         db = Database()
         db.create_table("empty", {"v": "DECIMAL(6, 2)"})
-        # Aggregating zero rows is a hard error in the reducer (the paper's
-        # operators always see partitioned data), surfaced cleanly.
-        from repro.errors import MultithreadError
-
-        with pytest.raises((MultithreadError, ExecutionError)):
+        # The engine has no NULL: an ungrouped SUM over zero rows is a
+        # typed engine error, never the reducer's internal one.
+        with pytest.raises(ExecutionError, match="over zero rows"):
             db.execute("SELECT SUM(v) FROM empty")
 
     def test_filter_to_empty_then_group(self):
