@@ -17,10 +17,9 @@ Findings reuse :class:`repro.analysis.diagnostics.AnalysisReport`: the
 ``kernel`` field carries the plan label and ``instruction`` the operator
 position, so ``Diagnostic.format`` output reads naturally for plans too.
 
-The planner runs this automatically when ``OptimizerConfig.verify_plans``
-is set (the default); ``strict_plan_analysis`` escalates errors to
-:class:`repro.errors.PlanAnalysisError`.  ``python -m repro.analysis
---plans`` sweeps the workload queries through it in CI.
+The planner runs this on every plan; ``strict_plan_analysis`` escalates
+errors to :class:`repro.errors.PlanAnalysisError`.  ``python -m
+repro.analysis --plans`` sweeps the workload queries through it in CI.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from repro.core.jit import alignment, codegen, constant_folding, nary, type_infe
 from repro.core.jit.expr_ast import Expr
 from repro.core.jit.ir import KernelIR
 from repro.core.jit.parser import parse_expression
+from repro.errors import CodegenError
 
 Schema = Mapping[str, DecimalSpec]
 
@@ -171,9 +172,13 @@ def compile_expression(
         cse=options.subexpression_elimination,
     )
     from repro.analysis import analyze_kernel, apply_fast_paths
-    from repro.core.jit.verifier import verify_kernel
+    from repro.analysis.structure import check_structure
 
-    verify_kernel(kernel)
+    # Structural verification (def-before-use, spec consistency, one
+    # store) is fail-fast: a malformed kernel never reaches execution.
+    findings = check_structure(kernel)
+    if findings:
+        raise CodegenError(findings[0].message)
     report = analyze_kernel(kernel, tree=tree)
     if report.fast_paths and not report.has_errors:
         # Feed the proven division facts back into the IR (and the rendered

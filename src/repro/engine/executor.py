@@ -32,7 +32,7 @@ def run_plan(chain: List[PhysicalOp], context: QueryContext) -> Batch:
     # columns no kernel consumed (filter/join/group keys, unused scans)
     # still have to reach the device -- charge them serially here so the
     # streamed report never undercounts relative to the serial path.
-    if context.include_transfer and context.pending_transfer:
+    if context.pending_transfer:
         leftover = sum(context.pending_transfer.values())
         context.pending_transfer.clear()
         if leftover:

@@ -30,7 +30,6 @@ from repro.engine.plan.physical import (
     choose_chunk_rows,
 )
 from repro.engine.sql.ast_nodes import AggregateCall, Query
-from repro.gpusim import profiler as gpu_profiler
 from repro.gpusim import timing as gpu_timing
 from repro.gpusim.device import GpuDevice
 from repro.gpusim.streaming import StreamingConfig, stream_timing
@@ -54,11 +53,6 @@ class KernelPlan:
     chunks: int = 1
     serial_ms: Optional[float] = None
     pipelined_ms: Optional[float] = None
-    #: Measured data-plane wall clock (set by ``explain(...,
-    #: measure_data_plane=True)``): the real numpy cost of one run over the
-    #: stored rows, as opposed to ``estimated_ms`` which is simulated.
-    data_plane_ms: Optional[float] = None
-    data_plane_rows_per_s: Optional[float] = None
     #: Static-analyzer findings for this kernel (an
     #: ``repro.analysis.AnalysisReport``), attached by the JIT pipeline.
     diagnostics: Optional["AnalysisReport"] = None
@@ -85,7 +79,7 @@ class ExplainResult:
     rewrites: List[str] = field(default_factory=list)
     choices: List[str] = field(default_factory=list)
     #: Plan-level static analyzer findings (``PLAN*``/``PREC*``/``RULE*``),
-    #: attached by the planner when ``OptimizerConfig.verify_plans`` is set.
+    #: attached by the planner to every plan.
     plan_diagnostics: Optional["AnalysisReport"] = None
 
     def format(self, with_source: bool = False) -> str:
@@ -121,11 +115,6 @@ class ExplainResult:
                         f"pipelined {kernel.pipelined_ms:.2f} ms "
                         f"({speedup:.2f}x overlap)"
                     )
-                if kernel.data_plane_ms is not None:
-                    lines.append(
-                        f"      data plane (measured): {kernel.data_plane_ms:.2f} ms "
-                        f"({kernel.data_plane_rows_per_s:,.0f} rows/s)"
-                    )
                 if kernel.diagnostics is not None and kernel.diagnostics.diagnostics:
                     for diagnostic in kernel.diagnostics.diagnostics:
                         lines.append(f"      {diagnostic.format()}")
@@ -145,17 +134,10 @@ def explain_query(
     device: GpuDevice,
     joined=None,
     streaming: Optional[StreamingConfig] = None,
-    measure_data_plane: bool = False,
     cost_model: Optional[CostModel] = None,
     optimizer: Optional[OptimizerConfig] = None,
 ) -> ExplainResult:
-    """Build an ExplainResult from a planned query.
-
-    With ``measure_data_plane`` each compiled kernel is additionally run
-    once over the relation's real stored columns and its wall-clock
-    (``KernelPlan.data_plane_ms``) recorded -- the measured counterpart of
-    the simulated ``estimated_ms``.
-    """
+    """Build an ExplainResult from a planned query (no kernel runs)."""
     from repro.core.jit.pipeline import compile_expression
 
     schema = relation.decimal_schema()
@@ -219,25 +201,6 @@ def explain_query(
             plan.chunks = timing.chunks
             plan.serial_ms = timing.serial_seconds * 1e3
             plan.pipelined_ms = timing.pipelined_seconds * 1e3
-        if measure_data_plane:
-            inputs = {}
-            for column in compiled.kernel.input_columns:
-                source = relation
-                for joined_relation in (joined or {}).values():
-                    if column in joined_relation.column_names:
-                        source = joined_relation
-                        break
-                inputs[column] = source.column(column).data
-            lengths = {data.shape[0] for data in inputs.values()}
-            if len(lengths) <= 1:  # join-mixed inputs can't run standalone
-                measured = gpu_profiler.measure_data_plane(
-                    compiled.kernel,
-                    inputs,
-                    lengths.pop() if lengths else relation.rows,
-                    device=device,
-                )
-                plan.data_plane_ms = measured.seconds * 1e3
-                plan.data_plane_rows_per_s = measured.rows_per_second
         kernels.append(plan)
 
     for op in chain:

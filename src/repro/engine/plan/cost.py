@@ -35,30 +35,20 @@ from repro.storage.schema import DecimalType
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Which optimizer stages run for a query.
+    """Whether the optimizer runs for a query.
 
-    The default is everything on; ``OptimizerConfig.off()`` reproduces the
-    historical fixed-shape planner (modulo always-on correctness passes
-    such as sort-key retention).
+    Enabled (the default), the planner applies the logical rewrite rules
+    (pushdown, merge, pruning, statistics-driven join reordering), chooses
+    hash vs nested-loop joins by cost, and sizes stream chunks by cost.
+    ``OptimizerConfig.off()`` reproduces the historical fixed-shape planner
+    (modulo always-on correctness passes such as sort-key retention).
+
+    The plan-level static analyzer (``repro.analysis.plan``) runs either
+    way, so an analyzer finding always isolates to the plan itself or to a
+    rewrite, never to "analysis was off on one side of the comparison".
     """
 
     enabled: bool = True
-    #: Run the logical rewrite rules (pushdown, merge, pruning).
-    rewrite: bool = True
-    #: Statistics-driven multi-join reordering (requires ``rewrite``: the
-    #: reorder pass runs inside the rewrite-rule engine).
-    reorder_joins: bool = True
-    #: Cost-based hash vs nested-loop join choice.
-    choose_join: bool = True
-    #: Cost-based stream chunk sizing / serial fallback per kernel.
-    choose_streaming: bool = True
-    #: Run the plan-level static analyzer (``repro.analysis.plan``) over
-    #: every planned query: schema dataflow, precision dataflow and
-    #: rewrite-soundness checks.  Deliberately *not* tied to ``enabled``:
-    #: un-optimized plans are analyzed too, so an analyzer finding always
-    #: isolates to the plan itself or to a rewrite, never to "analysis was
-    #: off on one side of the comparison".
-    verify_plans: bool = True
     #: Raise :class:`repro.errors.PlanAnalysisError` when the plan
     #: analyzer reports errors (default: attach diagnostics to the plan
     #: and EXPLAIN output without failing the query).
@@ -66,20 +56,7 @@ class OptimizerConfig:
 
     @classmethod
     def off(cls) -> "OptimizerConfig":
-        return cls(
-            enabled=False,
-            rewrite=False,
-            reorder_joins=False,
-            choose_join=False,
-            choose_streaming=False,
-        )
-
-    def __post_init__(self) -> None:
-        if not self.enabled:
-            object.__setattr__(self, "rewrite", False)
-            object.__setattr__(self, "reorder_joins", False)
-            object.__setattr__(self, "choose_join", False)
-            object.__setattr__(self, "choose_streaming", False)
+        return cls(enabled=False)
 
 
 @dataclass
@@ -300,21 +277,17 @@ class CostModel:
         device: GpuDevice = DEFAULT_DEVICE,
         host: HostSystem = DEFAULT_HOST,
         include_scan: bool = True,
-        include_transfer: bool = True,
     ):
         self.device = device
         self.host = host
         self.include_scan = include_scan
-        self.include_transfer = include_transfer
 
     # ------------------------------------------------------------- per node
 
     def scan(self, bytes_moved: float, rows: float) -> CostEstimate:
-        seconds = 0.0
+        seconds = gpu_timing.pcie_time(int(bytes_moved), self.device)
         if self.include_scan:
             seconds += gpu_timing.disk_scan_time(int(bytes_moved), self.host)
-        if self.include_transfer:
-            seconds += gpu_timing.pcie_time(int(bytes_moved), self.device)
         return CostEstimate(0.0, seconds, rows)
 
     def filter(
@@ -363,9 +336,7 @@ class CostModel:
         return CostEstimate(startup, startup + probe, out_rows)
 
     def project(self, result_bytes_per_row: float, rows: float) -> CostEstimate:
-        seconds = 0.0
-        if self.include_transfer:
-            seconds += gpu_timing.pcie_time(int(result_bytes_per_row * rows), self.device)
+        seconds = gpu_timing.pcie_time(int(result_bytes_per_row * rows), self.device)
         return CostEstimate(0.0, seconds, rows)
 
     def sort(self, key_bytes_per_row: float, rows: float) -> CostEstimate:
@@ -437,9 +408,9 @@ class CostModel:
         candidates = {simulate_rows}  # one chunk == serial execution
         if streaming.chunk_rows is not None:
             candidates.add(streaming.chunk_rows)
-        auto = StreamingConfig(
-            enabled=True, chunk_rows=None, memory_fraction=streaming.memory_fraction
-        ).resolve_chunk_rows(kernel, self.device, simulate_rows)
+        auto = StreamingConfig(enabled=True, chunk_rows=None).resolve_chunk_rows(
+            kernel, self.device, simulate_rows
+        )
         candidates.add(auto)
         candidates.add(DEFAULT_CHUNK_ROWS)
         candidates.update(

@@ -9,6 +9,7 @@ executor threads a :class:`Batch` through the chain.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -31,7 +32,7 @@ from repro.gpusim.device import DEFAULT_DEVICE, DEFAULT_HOST, GpuDevice, HostSys
 from repro.gpusim.streaming import StreamingConfig, execute_streamed
 from repro.storage.column import Column
 from repro.storage.relation import Relation
-from repro.storage.schema import CharType, DateType, DecimalType, DoubleType
+from repro.storage.schema import CharType, DateType, DecimalType, DoubleType, IntType
 
 
 @dataclass
@@ -168,9 +169,6 @@ class QueryContext:
     kernel_cache: KernelCache = field(default_factory=KernelCache)
     jit_options: JitOptions = field(default_factory=JitOptions)
     include_scan: bool = True
-    include_transfer: bool = True
-    include_compile: bool = True
-    tpi: int = 8  # thread-group width for aggregation
     streaming: StreamingConfig = field(default_factory=StreamingConfig)
     #: Simulated bytes of scanned columns not yet shipped to the device.
     #: With streaming enabled, ScanOp defers its PCIe charge here; the
@@ -181,7 +179,7 @@ class QueryContext:
     #: Cost model for runtime physical choices (stream chunk sizing); None
     #: reproduces the un-costed behaviour.
     cost_model: Optional["CostModel"] = None
-    #: Which optimizer stages are active for this query.
+    #: Whether the optimizer is on for this query (cost-based chunk sizing).
     optimizer: "OptimizerConfig" = field(default_factory=lambda: OptimizerConfig.off())
     #: Cross-query device residency of columns (shared by the serving
     #: layer's sessions).  ``None`` keeps the single-query behaviour:
@@ -262,33 +260,30 @@ class ScanOp(PhysicalOp):
         if context.include_scan:
             context.report.scan_seconds += gpu_timing.disk_scan_time(simulated_bytes, context.host)
             context.report.scan_bytes += simulated_bytes
-        if context.include_transfer:
-            ship = self.columns
-            if context.residency is not None:
-                # Shared device: columns another query already shipped are
-                # resident (keyed by version, so appends re-ship), and this
-                # scan pays PCIe only for the cold ones.
-                ship = [
-                    name
-                    for name in self.columns
-                    if context.residency.admit(
-                        (relation.name, name, relation.column(name).version),
-                        wire[name] * scale,
-                    )
-                ]
-            if context.streaming.enabled:
-                # Defer the H2D copy: the first kernel touching each column
-                # streams its transfer chunk-wise, overlapped with compute.
-                for name in ship:
-                    context.pending_transfer[name] = (
-                        context.pending_transfer.get(name, 0.0) + wire[name] * scale
-                    )
-            else:
-                ship_bytes = int(sum(wire[name] for name in ship) * scale) if ship else 0
-                context.report.pcie_seconds += gpu_timing.pcie_time(
-                    ship_bytes, context.device
+        ship = self.columns
+        if context.residency is not None:
+            # Shared device: columns another query already shipped are
+            # resident (keyed by version, so appends re-ship), and this
+            # scan pays PCIe only for the cold ones.
+            ship = [
+                name
+                for name in self.columns
+                if context.residency.admit(
+                    (relation.name, name, relation.column(name).version),
+                    wire[name] * scale,
                 )
-                context.report.pcie_bytes += ship_bytes
+            ]
+        if context.streaming.enabled:
+            # Defer the H2D copy: the first kernel touching each column
+            # streams its transfer chunk-wise, overlapped with compute.
+            for name in ship:
+                context.pending_transfer[name] = (
+                    context.pending_transfer.get(name, 0.0) + wire[name] * scale
+                )
+        else:
+            ship_bytes = int(sum(wire[name] for name in ship) * scale) if ship else 0
+            context.report.pcie_seconds += gpu_timing.pcie_time(ship_bytes, context.device)
+            context.report.pcie_bytes += ship_bytes
         columns = {name: relation.column(name) for name in self.columns}
         context.report.simulated_rows = context.simulate_rows
         return Batch(columns=columns, rows=relation.rows, simulated_rows=float(context.simulate_rows))
@@ -312,22 +307,7 @@ class FilterOp(PhysicalOp):
                 rows=0,
                 simulated_rows=0.0,
             )
-        mask = np.ones(batch.rows, dtype=bool)
-        for predicate in self.predicates:
-            if predicate.column_rhs is not None:
-                mask &= _evaluate_column_predicate(
-                    batch.column(predicate.column),
-                    predicate.op,
-                    batch.column(predicate.column_rhs),
-                )
-            else:
-                column = batch.column(predicate.column)
-                encoded = _evaluate_predicate_encoded(column, predicate)
-                mask &= (
-                    encoded
-                    if encoded is not None
-                    else _evaluate_predicate(column, predicate)
-                )
+        mask = _conjunct_mask(self.predicates, batch.column, batch.rows)
         indices = np.nonzero(mask)[0]
         selectivity = len(indices) / max(batch.rows, 1)
         # Filter kernel: one pass over each *distinct* predicate column --
@@ -383,18 +363,9 @@ class _JoinOp(PhysicalOp):
         keep: Optional[np.ndarray] = None
         survival = 1.0
         if self.right_predicates:
-            mask = np.ones(right_relation.rows, dtype=bool)
-            for predicate in self.right_predicates:
-                if predicate.column_rhs is not None:
-                    mask &= _evaluate_column_predicate(
-                        right_relation.column(predicate.column),
-                        predicate.op,
-                        right_relation.column(predicate.column_rhs),
-                    )
-                else:
-                    mask &= _evaluate_predicate(
-                        right_relation.column(predicate.column), predicate
-                    )
+            mask = _conjunct_mask(
+                self.right_predicates, right_relation.column, right_relation.rows
+            )
             keep = np.nonzero(mask)[0]
             survival = len(keep) / max(right_relation.rows, 1)
 
@@ -414,9 +385,8 @@ class _JoinOp(PhysicalOp):
                 scanned_bytes, context.host
             )
             context.report.scan_bytes += scanned_bytes
-        if context.include_transfer:
-            context.report.pcie_seconds += gpu_timing.pcie_time(ship_bytes, context.device)
-            context.report.pcie_bytes += ship_bytes
+        context.report.pcie_seconds += gpu_timing.pcie_time(ship_bytes, context.device)
+        context.report.pcie_bytes += ship_bytes
 
         sim_right = right_relation.rows * right_scale * survival
         return right_relation, keep, sim_right
@@ -432,12 +402,15 @@ class _JoinOp(PhysicalOp):
         right_key_column = right_relation.column(self.join.right_column)
         if keep is not None:
             right_key_column = right_key_column.take(keep)
+        left_keys, right_keys = _join_keys(
+            batch.column(self.join.left_column), right_key_column
+        )
         build: Dict = {}
-        for row, key in enumerate(_grouping_key(right_key_column)):
+        for row, key in enumerate(right_keys):
             build.setdefault(key, []).append(row)
         left_indices: List[int] = []
         right_indices: List[int] = []
-        for row, key in enumerate(_grouping_key(batch.column(self.join.left_column))):
+        for row, key in enumerate(left_keys):
             for match in build.get(key, ()):
                 left_indices.append(row)
                 right_indices.append(match)
@@ -523,16 +496,20 @@ class ProjectOp(PhysicalOp):
                 continue
             vector = _evaluate_expression(text, batch, context, kernel_name=f"calc_expr_{index}")
             out[item.name] = Column(item.name, DecimalType(vector.spec), vector.to_compact())
-        if context.include_transfer:
-            result_bytes = sum(
-                column.bytes_stored / max(batch.rows, 1) for column in out.values()
-            ) * batch.simulated_rows
-            context.report.pcie_seconds += gpu_timing.pcie_time(int(result_bytes), context.device)
-            context.report.pcie_bytes += result_bytes
+        result_bytes = sum(
+            column.bytes_stored / max(batch.rows, 1) for column in out.values()
+        ) * batch.simulated_rows
+        context.report.pcie_seconds += gpu_timing.pcie_time(int(result_bytes), context.device)
+        context.report.pcie_bytes += result_bytes
         for name in self.carry:
             if name not in out:
                 out[name] = batch.column(name)
         return Batch(columns=out, rows=batch.rows, simulated_rows=batch.simulated_rows)
+
+
+#: Threads per value (TPI) of the multi-threaded aggregation, for grouped
+#: and ungrouped aggregates alike.
+AGGREGATION_TPI = 8
 
 
 class AggregateOp(PhysicalOp):
@@ -570,7 +547,7 @@ class AggregateOp(PhysicalOp):
                 unscaled,
                 vector.spec,
                 op=call.function.lower(),
-                tpi=context.tpi,
+                tpi=AGGREGATION_TPI,
                 device=context.device,
                 simulate_tuples=sim_n,
             )
@@ -661,7 +638,7 @@ class GroupAggregateOp(PhysicalOp):
                     subset,
                     spec,
                     op=call.function.lower(),
-                    tpi=context.tpi,
+                    tpi=AGGREGATION_TPI,
                     device=context.device,
                     simulate_tuples=max(int(group_sim), 1),
                 )
@@ -798,13 +775,12 @@ def _evaluate_expression(
     if cached:
         context.report.kernels_cached += 1
     else:
-        if context.include_compile:
-            # The NVRTC startup base is charged once per query, on the
-            # first kernel compiled.
-            include_base = context.report.kernels_compiled == 0
-            context.report.compile_seconds += gpu_timing.compile_time(
-                [compiled.kernel], include_base=include_base
-            )
+        # The NVRTC startup base is charged once per query, on the first
+        # kernel compiled.
+        include_base = context.report.kernels_compiled == 0
+        context.report.compile_seconds += gpu_timing.compile_time(
+            [compiled.kernel], include_base=include_base
+        )
         context.report.kernels_compiled += 1
     kernel = compiled.kernel
     inputs = {name: batch.column(name).data for name in kernel.input_columns}
@@ -813,10 +789,9 @@ def _evaluate_expression(
     # transfer is still pending stream their H2D copy with this kernel.
     sim = max(int(round(batch.simulated_rows)), 1)
     transfer_bytes = 0.0
-    if context.include_transfer:
-        for column in kernel.input_columns:
-            transfer_bytes += context.pending_transfer.pop(column, 0.0)
-        context.report.pcie_bytes += transfer_bytes
+    for column in kernel.input_columns:
+        transfer_bytes += context.pending_transfer.pop(column, 0.0)
+    context.report.pcie_bytes += transfer_bytes
     chunk_rows = choose_chunk_rows(
         kernel,
         sim,
@@ -878,15 +853,13 @@ def choose_chunk_rows(
     """
     if not streaming.enabled:
         return simulate_rows
-    if cost_model is not None and optimizer is not None and optimizer.choose_streaming:
+    if cost_model is not None and optimizer is not None and optimizer.enabled:
         return cost_model.choose_chunk_rows(kernel, simulate_rows, streaming, transfer_bytes)
     return streaming.resolve_chunk_rows(kernel, device, simulate_rows)
 
 
 def _flush_pending_transfer(context: QueryContext, columns) -> None:
     """Serially charge deferred transfers for columns used outside a kernel."""
-    if not context.include_transfer:
-        return
     pending = sum(context.pending_transfer.pop(name, 0.0) for name in columns)
     if pending:
         context.report.pcie_seconds += gpu_timing.pcie_time(int(pending), context.device)
@@ -920,18 +893,41 @@ def _zone_skip_mask(
     return skip
 
 
-def _order_to_mask(order: np.ndarray, op: str) -> np.ndarray:
-    if op == "=":
-        return order == 0
-    if op == "<>":
-        return order != 0
-    if op == "<":
-        return order < 0
-    if op == "<=":
-        return order <= 0
-    if op == ">":
-        return order > 0
-    return order >= 0
+#: Each SQL comparison operator as the function that applies it.
+COMPARATORS: Dict[str, Callable] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _compare(lhs, op: str, rhs):
+    """Apply comparison ``op`` (element-wise on arrays)."""
+    try:
+        compare = COMPARATORS[op]
+    except KeyError:
+        raise ExecutionError(f"unsupported comparison {op!r}") from None
+    return compare(lhs, rhs)
+
+
+def _conjunct_mask(
+    predicates: List[Comparison], column: Callable[[str], Column], rows: int
+) -> np.ndarray:
+    """AND of the conjuncts' masks over ``rows`` rows; ``column`` looks up inputs."""
+    mask = np.ones(rows, dtype=bool)
+    for predicate in predicates:
+        left = column(predicate.column)
+        if predicate.column_rhs is not None:
+            mask &= _evaluate_column_predicate(
+                left, predicate.op, column(predicate.column_rhs)
+            )
+            continue
+        encoded = _evaluate_predicate_encoded(left, predicate)
+        mask &= encoded if encoded is not None else _evaluate_predicate(left, predicate)
+    return mask
 
 
 def _evaluate_predicate_encoded(
@@ -956,7 +952,7 @@ def _evaluate_predicate_encoded(
     if encoding is None:
         return None
     op = predicate.op
-    if op not in ("=", "<>", "<", "<=", ">", ">="):
+    if op not in COMPARATORS:
         return None
     spec = column.column_type.spec
     target = DecimalValue.from_literal(str(predicate.literal), spec).unscaled
@@ -971,13 +967,12 @@ def _evaluate_predicate_encoded(
         if verdict is True:
             mask[rows] = True
         elif verdict is None:
-            mask[rows] = _order_to_mask(codec.compare_chunk(chunk, literal), op)
+            mask[rows] = _compare(codec.compare_chunk(chunk, literal), op, 0)
     return mask
 
 
 def _evaluate_predicate(column: Column, predicate: Comparison) -> np.ndarray:
     """Evaluate ``column <op> literal`` to a boolean mask."""
-    op = predicate.op
     literal = predicate.literal
     column_type = column.column_type
     if isinstance(column_type, DecimalType):
@@ -996,19 +991,7 @@ def _evaluate_predicate(column: Column, predicate: Comparison) -> np.ndarray:
     else:
         rhs = literal
         lhs = column.data
-    if op == "=":
-        return lhs == rhs
-    if op == "<>":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    raise ExecutionError(f"unsupported comparison {op!r}")
+    return _compare(lhs, predicate.op, rhs)
 
 
 def _evaluate_column_predicate(left: Column, op: str, right: Column) -> np.ndarray:
@@ -1023,32 +1006,8 @@ def _evaluate_column_predicate(left: Column, op: str, right: Column) -> np.ndarr
         from repro.core.decimal import vectorized as _vz
 
         order = _vz.compare(left.decimal_vector(), right.decimal_vector())
-        comparisons = {
-            "=": order == 0,
-            "<>": order != 0,
-            "<": order < 0,
-            "<=": order <= 0,
-            ">": order > 0,
-            ">=": order >= 0,
-        }
-        try:
-            return comparisons[op]
-        except KeyError:
-            raise ExecutionError(f"unsupported comparison {op!r}") from None
-    lhs, rhs = left.data, right.data
-    if op == "=":
-        return lhs == rhs
-    if op == "<>":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    raise ExecutionError(f"unsupported comparison {op!r}")
+        return _compare(order, op, 0)
+    return _compare(left.data, op, right.data)
 
 
 def _parse_date(text: str) -> int:
@@ -1065,6 +1024,35 @@ def _grouping_key(column: Column) -> List:
     if isinstance(column.column_type, CharType):
         return [value.decode().rstrip() for value in column.data.tolist()]
     return column.data.tolist()
+
+
+def _join_keys(left: Column, right: Column) -> Tuple[List, List]:
+    """Both sides' equi-join keys, comparable with each other.
+
+    DECIMAL keys compare by value: when the two sides' scales differ (an
+    INT key counts as scale 0), both unscaled lists rescale to the larger
+    scale.  Keys of equal scale, INT = INT among them, compare as stored.
+    """
+    left_keys, right_keys = _grouping_key(left), _grouping_key(right)
+    left_scale, right_scale = _key_scale(left), _key_scale(right)
+    if left_scale is None or right_scale is None or left_scale == right_scale:
+        return left_keys, right_keys
+    scale = max(left_scale, right_scale)
+    left_factor = 10 ** (scale - left_scale)
+    right_factor = 10 ** (scale - right_scale)
+    return (
+        [key * left_factor for key in left_keys],
+        [key * right_factor for key in right_keys],
+    )
+
+
+def _key_scale(column: Column) -> Optional[int]:
+    """Decimal scale of a numeric join key (INT is 0); None for other types."""
+    if isinstance(column.column_type, DecimalType):
+        return column.column_type.spec.scale
+    if isinstance(column.column_type, IntType):
+        return 0
+    return None
 
 
 def _column_from_keys(name: str, values: List, template: Column) -> Column:

@@ -78,7 +78,7 @@ class PhysicalPlan:
         self.events = list(events or [])
         self.choices = list(choices or [])
         #: :class:`repro.analysis.AnalysisReport` from the plan-level
-        #: static analyzer, when ``OptimizerConfig.verify_plans`` ran it.
+        #: static analyzer, which :func:`plan_query` runs on every plan.
         self.analysis = None
 
     def __iter__(self) -> Iterator[PhysicalOp]:
@@ -107,18 +107,13 @@ def plan_query(
     Without ``stats``/``optimizer``/``cost_model`` this reproduces the
     historical fixed-shape translation (plus the always-on sort-key
     retention pass) and annotates no costs.  ``jit_options``/``label``
-    parameterize the plan-level static analyzer, which runs whenever
-    ``optimizer.verify_plans`` is set (the default, including for
-    ``OptimizerConfig.off()``).
+    parameterize the plan-level static analyzer, which runs on every plan,
+    optimized or not.
     """
     optimizer = optimizer if optimizer is not None else OptimizerConfig.off()
     logical = build_logical_plan(query, available_columns, joined_columns)
     nodes = chain_to_list(logical)
-    nodes, events = apply_rules(
-        nodes,
-        default_rules(optimize=optimizer.rewrite, reorder_joins=optimizer.reorder_joins),
-        stats,
-    )
+    nodes, events = apply_rules(nodes, default_rules(optimize=optimizer.enabled), stats)
 
     choices: List[str] = []
     ops: List[PhysicalOp] = []
@@ -215,24 +210,23 @@ def plan_query(
         ops.append(op)
     _push_zone_predicates(ops)
     plan = PhysicalPlan(ops, events, choices)
-    if optimizer.verify_plans:
-        # Imported lazily: repro.analysis.plan pulls in the JIT pipeline,
-        # which this module must not depend on at import time.
-        from repro.analysis import Severity
-        from repro.analysis.plan import analyze_plan
-        from repro.errors import PlanAnalysisError
+    # Imported lazily: repro.analysis.plan pulls in the JIT pipeline,
+    # which this module must not depend on at import time.
+    from repro.analysis import Severity
+    from repro.analysis.plan import analyze_plan
+    from repro.errors import PlanAnalysisError
 
-        plan.analysis = analyze_plan(
-            plan,
-            stats=stats,
-            jit_options=jit_options,
-            label=label or query.table,
+    plan.analysis = analyze_plan(
+        plan,
+        stats=stats,
+        jit_options=jit_options,
+        label=label or query.table,
+    )
+    if optimizer.strict_plan_analysis and plan.analysis.has_errors:
+        raise PlanAnalysisError(
+            "plan analysis failed:\n" + plan.analysis.format(Severity.ERROR),
+            report=plan.analysis,
         )
-        if optimizer.strict_plan_analysis and plan.analysis.has_errors:
-            raise PlanAnalysisError(
-                "plan analysis failed:\n" + plan.analysis.format(Severity.ERROR),
-                report=plan.analysis,
-            )
     return plan
 
 
@@ -295,7 +289,7 @@ def _plan_join(
         left_ndv * scale if left_ndv else 0.0,
         right_ndv * scale if right_ndv else 0.0,
     )
-    if not optimizer.choose_join:
+    if not optimizer.enabled:
         estimate = cost_model.hash_join(rows, right_rows, right_bytes, out_rows)
         return (
             HashJoinOp(node.join, node.right_columns, node.right_predicates),

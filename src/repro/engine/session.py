@@ -68,7 +68,6 @@ class Database:
         device: GpuDevice = DEFAULT_DEVICE,
         host: HostSystem = DEFAULT_HOST,
         jit_options: Optional[JitOptions] = None,
-        aggregation_tpi: int = 8,
         streaming: Optional[StreamingConfig] = None,
         optimizer: Optional[OptimizerConfig] = None,
         residency: Optional[DeviceResidency] = None,
@@ -78,7 +77,6 @@ class Database:
         self.host = host
         self.simulate_rows = simulate_rows
         self.jit_options = jit_options if jit_options is not None else JitOptions()
-        self.aggregation_tpi = aggregation_tpi
         self.streaming = streaming if streaming is not None else StreamingConfig()
         self.optimizer = optimizer if optimizer is not None else OptimizerConfig()
         self.kernel_cache = KernelCache()
@@ -155,8 +153,6 @@ class Database:
         self,
         sql: str,
         include_scan: bool = True,
-        include_transfer: bool = True,
-        include_compile: bool = True,
         simulate_rows: Optional[int] = None,
         streaming: Optional[StreamingConfig] = None,
         optimizer: Optional[OptimizerConfig] = None,
@@ -177,9 +173,7 @@ class Database:
         joined = {join.table: self.catalog.get(join.table) for join in query.joins}
         sim = self._resolve_simulate_rows(simulate_rows, relation)
         optimizer = optimizer if optimizer is not None else self.optimizer
-        cost_model = CostModel(
-            self.device, self.host, include_scan=include_scan, include_transfer=include_transfer
-        )
+        cost_model = CostModel(self.device, self.host, include_scan=include_scan)
         context = QueryContext(
             relation=relation,
             joined=joined,
@@ -189,9 +183,6 @@ class Database:
             kernel_cache=self.kernel_cache,
             jit_options=self.jit_options,
             include_scan=include_scan,
-            include_transfer=include_transfer,
-            include_compile=include_compile,
-            tpi=self.aggregation_tpi,
             streaming=streaming if streaming is not None else self.streaming,
             cost_model=cost_model,
             optimizer=optimizer,
@@ -221,7 +212,6 @@ class Database:
         sql: str,
         simulate_rows: Optional[int] = None,
         streaming: Optional[StreamingConfig] = None,
-        measure_data_plane: bool = False,
         optimizer: Optional[OptimizerConfig] = None,
     ):
         """Plan (but do not fully execute) a query; returns an ExplainResult.
@@ -230,9 +220,7 @@ class Database:
         the rewrite-rule trace, every kernel the JIT would generate (with
         its optimised expression and the Listing-1-style source), the
         simulated cost estimates, and -- with streaming enabled -- each
-        kernel's chunk count and pipelined-vs-serial estimate.  With
-        ``measure_data_plane`` each kernel is also run once over the stored
-        rows and its measured wall clock reported alongside the estimates.
+        kernel's chunk count and pipelined-vs-serial estimate.
         """
         from repro.engine.explain import explain_query
 
@@ -261,7 +249,6 @@ class Database:
             self.device,
             joined=joined,
             streaming=streaming if streaming is not None else self.streaming,
-            measure_data_plane=measure_data_plane,
             cost_model=cost_model,
             optimizer=optimizer,
         )

@@ -8,11 +8,8 @@ This module renders the same two numbers for any simulated kernel.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.core.jit import ir
 from repro.gpusim.device import DEFAULT_DEVICE, GpuDevice
@@ -78,55 +75,6 @@ class StreamedKernelProfile:
             f"pipelined {self.pipelined_ms:.2f} ms "
             f"({self.overlap_speedup:.2f}x, {stage}-limited pipeline)"
         )
-
-
-@dataclass(frozen=True)
-class DataPlaneMeasurement:
-    """Measured wall-clock of one kernel's data plane over real columns.
-
-    Complements the simulated numbers: :class:`KernelProfile` says what the
-    modelled GPU *would* take, this says what the numpy limb arithmetic in
-    this process *did* take to produce the bit-exact result.
-    """
-
-    kernel_name: str
-    rows: int
-    seconds: float
-    rows_per_second: float
-
-    def __str__(self) -> str:
-        return (
-            f"{self.kernel_name}: data plane {self.seconds * 1e3:.2f} ms over "
-            f"{self.rows:,} rows ({self.rows_per_second:,.0f} rows/s)"
-        )
-
-
-def measure_data_plane(
-    kernel: ir.KernelIR,
-    inputs: Dict[str, np.ndarray],
-    rows: int,
-    device: GpuDevice = DEFAULT_DEVICE,
-    repeats: int = 1,
-) -> DataPlaneMeasurement:
-    """Run a kernel's data plane over real compact columns and time it.
-
-    ``inputs`` maps the kernel's input column names to their ``(N, Lb)``
-    compact byte matrices.  Best-of-``repeats`` wall clock; the simulated
-    timing the executor also produces is discarded here.
-    """
-    from repro.gpusim import executor as gpu_executor
-
-    best = float("inf")
-    for _ in range(max(repeats, 1)):
-        started = time.perf_counter()
-        gpu_executor.execute(kernel, inputs, rows, device=device, simulate_tuples=max(rows, 1))
-        best = min(best, time.perf_counter() - started)
-    return DataPlaneMeasurement(
-        kernel_name=kernel.name,
-        rows=rows,
-        seconds=best,
-        rows_per_second=rows / best if best > 0 else float("inf"),
-    )
 
 
 def profile_kernel_streamed(

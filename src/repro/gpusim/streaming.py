@@ -47,6 +47,10 @@ MIN_AUTO_CHUNK_ROWS = 65_536
 #: kernel (the pipeline's un-overlapped ends) are a small share of total.
 AUTO_PIPELINE_DEPTH = 8
 
+#: Auto-sizing budget: the fraction of device memory one pipelined chunk
+#: set (double-buffered inputs plus the result column) may occupy.
+AUTO_MEMORY_FRACTION = 0.125
+
 
 @dataclass(frozen=True)
 class StreamingConfig:
@@ -54,16 +58,14 @@ class StreamingConfig:
 
     ``chunk_rows=None`` auto-sizes chunks per kernel: each in-flight chunk
     set (double-buffered inputs plus the result column) must fit in
-    ``memory_fraction`` of the device's DRAM -- so wide LEN configurations
-    stream in proportionally smaller chunks -- and the batch is split into
-    at least :data:`AUTO_PIPELINE_DEPTH` chunks so the pipeline's fill and
-    drain stages stay a small share of the total.
+    :data:`AUTO_MEMORY_FRACTION` of the device's DRAM -- so wide LEN
+    configurations stream in proportionally smaller chunks -- and the batch
+    is split into at least :data:`AUTO_PIPELINE_DEPTH` chunks so the
+    pipeline's fill and drain stages stay a small share of the total.
     """
 
     enabled: bool = False
     chunk_rows: Optional[int] = DEFAULT_CHUNK_ROWS
-    #: Fraction of device memory one pipelined chunk set may occupy.
-    memory_fraction: float = 0.125
 
     def __post_init__(self) -> None:
         # Validate at construction: ``chunk_rows=0`` used to survive until
@@ -84,7 +86,7 @@ class StreamingConfig:
         # Double-buffered inputs (copy of chunk N+1 overlaps compute on N)
         # plus the result column written back.
         bytes_per_row = 2 * kernel.bytes_read_per_tuple + kernel.bytes_written_per_tuple
-        budget = self.memory_fraction * device.memory_bytes
+        budget = AUTO_MEMORY_FRACTION * device.memory_bytes
         rows = int(budget / max(bytes_per_row, 1))
         if tuples is not None:
             rows = min(rows, math.ceil(tuples / AUTO_PIPELINE_DEPTH))

@@ -224,3 +224,19 @@ class TestZeroRowAggregates:
     def test_grouped_aggregate_returns_no_groups(self):
         result = self.make_db().execute("SELECT g, SUM(q) FROM t WHERE q < 0 GROUP BY g")
         assert result.rows == []
+
+
+class TestComparisons:
+    def test_every_sql_comparison_has_a_comparator(self):
+        from repro.engine.plan.physical import COMPARATORS
+        from repro.engine.sql.ast_nodes import COMPARISON_OPS
+
+        assert sorted(COMPARATORS) == sorted(COMPARISON_OPS)
+
+    def test_unknown_comparison_is_a_typed_error(self):
+        from repro.engine.plan.physical import _evaluate_predicate
+        from repro.engine.sql.ast_nodes import Comparison
+
+        column = Column.integers("k", [1, 2, 3])
+        with pytest.raises(ExecutionError, match="unsupported comparison '!='"):
+            _evaluate_predicate(column, Comparison("k", "!=", 2))

@@ -146,3 +146,24 @@ class TestJoinAlgorithmsAgree:
                 results[algorithm] = db.execute(sql).rows
         expected = [(1, 20), (1, 40), (2, 10), (2, 30), (3, 20), (3, 40), (5, 10), (5, 30)]
         assert results["hash"] == results["nested-loop"] == expected
+
+    @pytest.mark.parametrize("right_type", ["DECIMAL(10, 0)", "INT"])
+    @pytest.mark.parametrize("algorithm", ["hash", "nested-loop"])
+    def test_keys_of_different_scales_match_by_value(
+        self, monkeypatch, algorithm, right_type
+    ):
+        """1.00 at scale 2 equals 1 at scale 0; 2.50 matches nothing."""
+        self.forced(monkeypatch, algorithm)
+        db = Database()
+        db.create_table(
+            "l",
+            {"k": "DECIMAL(10, 2)", "v": "DECIMAL(10, 2)"},
+            rows=[("1.00", "5.00"), ("2.50", "7.00")],
+        )
+        db.create_table("r", {"rk": right_type}, rows=[(1,), (2,)])
+        sql = "SELECT SUM(v) FROM l JOIN r ON k = rk"
+        label = "HashJoin" if algorithm == "hash" else "NestedLoopJoin"
+        assert any(op.startswith(label) for op in db.explain(sql).operators)
+        assert str(db.execute(sql).scalar) == "5.00"
+        flipped = "SELECT SUM(v) FROM r JOIN l ON rk = k"
+        assert str(db.execute(flipped).scalar) == "5.00"

@@ -9,6 +9,7 @@ from repro.errors import ExecutionError
 from repro.gpusim import execute
 from repro.gpusim.device import GpuDevice
 from repro.gpusim.streaming import (
+    AUTO_MEMORY_FRACTION,
     MIN_AUTO_CHUNK_ROWS,
     StreamingConfig,
     execute_streamed,
@@ -182,7 +183,7 @@ class TestStreamingConfig:
         rows = config.resolve_chunk_rows(kernel, small)
         assert rows == max(
             MIN_AUTO_CHUNK_ROWS,
-            int(config.memory_fraction * small.memory_bytes / bytes_per_row),
+            int(AUTO_MEMORY_FRACTION * small.memory_bytes / bytes_per_row),
         )
 
     def test_auto_sizing_targets_pipeline_depth(self):

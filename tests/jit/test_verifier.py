@@ -1,13 +1,18 @@
-"""Tests for the kernel IR verifier."""
+"""Tests for structural kernel verification.
+
+``analysis.structure.check_structure`` collects every finding; the JIT
+pipeline (``compile_expression``) runs it on each generated kernel and
+raises ``CodegenError`` with the first finding's message.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.structure import check_structure
 from repro.core.decimal.context import DecimalSpec
-from repro.core.jit import ir
+from repro.core.jit import codegen, ir
 from repro.core.jit.pipeline import JitOptions, compile_expression
-from repro.core.jit.verifier import verify_kernel
 from repro.errors import CodegenError
 
 SCHEMA = {"a": DecimalSpec(10, 2), "b": DecimalSpec(8, 1)}
@@ -17,18 +22,24 @@ def valid_kernel():
     return compile_expression("a + b * 2", SCHEMA).kernel
 
 
+def compile_with(kernel, monkeypatch):
+    """Run the JIT pipeline with code generation replaced by ``kernel``."""
+    monkeypatch.setattr(codegen, "generate_kernel", lambda *args, **kwargs: kernel)
+    return compile_expression("a", SCHEMA)
+
+
 class TestAcceptsGeneratedKernels:
     @pytest.mark.parametrize(
         "expression",
         ["a + b", "a - b", "a * b", "a / b", "-a + 1.5", "a + b + a * (b - 2)"],
     )
     def test_generated_kernels_verify(self, expression):
-        kernel = compile_expression(expression, SCHEMA).kernel
-        verify_kernel(kernel)  # must not raise
+        kernel = compile_expression(expression, SCHEMA).kernel  # must not raise
+        assert check_structure(kernel) == []
 
     def test_modulo_kernel(self):
         schema = {"x": DecimalSpec(18, 0), "n": DecimalSpec(18, 0)}
-        verify_kernel(compile_expression("x * x % n", schema).kernel)
+        assert check_structure(compile_expression("x * x % n", schema).kernel) == []
 
     @given(st.sampled_from(["a+b", "a*b+1", "(a-b)*(a+b)", "a/b+a"]))
     @settings(max_examples=10, deadline=None)
@@ -39,19 +50,20 @@ class TestAcceptsGeneratedKernels:
             JitOptions(subexpression_elimination=True),
             JitOptions(constant_construction=False, constant_alignment=False),
         ):
-            verify_kernel(compile_expression(expression, SCHEMA, options).kernel)
+            kernel = compile_expression(expression, SCHEMA, options).kernel
+            assert check_structure(kernel) == []
 
 
 class TestRejectsBrokenKernels:
-    def test_undefined_register(self):
+    def test_undefined_register(self, monkeypatch):
         kernel = valid_kernel()
         kernel.instructions.insert(
             0, ir.AddOp(99, DecimalSpec(4, 0), 50, 51)
         )
         with pytest.raises(CodegenError, match="undefined register"):
-            verify_kernel(kernel)
+            compile_with(kernel, monkeypatch)
 
-    def test_unaligned_addition(self):
+    def test_unaligned_addition(self, monkeypatch):
         spec_a = DecimalSpec(6, 2)
         spec_b = DecimalSpec(6, 1)
         kernel = ir.KernelIR(
@@ -68,17 +80,17 @@ class TestRejectsBrokenKernels:
             register_words=3,
         )
         with pytest.raises(CodegenError, match="not scale-aligned"):
-            verify_kernel(kernel)
+            compile_with(kernel, monkeypatch)
 
-    def test_missing_store(self):
+    def test_missing_store(self, monkeypatch):
         kernel = valid_kernel()
         kernel.instructions = [
             i for i in kernel.instructions if not isinstance(i, ir.StoreResult)
         ]
         with pytest.raises(CodegenError, match="exactly one result"):
-            verify_kernel(kernel)
+            compile_with(kernel, monkeypatch)
 
-    def test_wrong_align_exponent(self):
+    def test_wrong_align_exponent(self, monkeypatch):
         spec = DecimalSpec(6, 1)
         kernel = ir.KernelIR(
             name="bad",
@@ -93,9 +105,9 @@ class TestRejectsBrokenKernels:
             register_words=3,
         )
         with pytest.raises(CodegenError, match="Align scale mismatch"):
-            verify_kernel(kernel)
+            compile_with(kernel, monkeypatch)
 
-    def test_overflowing_constant(self):
+    def test_overflowing_constant(self, monkeypatch):
         kernel = ir.KernelIR(
             name="bad",
             expression_sql="9999",
@@ -108,9 +120,9 @@ class TestRejectsBrokenKernels:
             register_words=1,
         )
         with pytest.raises(CodegenError, match="does not fit"):
-            verify_kernel(kernel)
+            compile_with(kernel, monkeypatch)
 
-    def test_fractional_modulo(self):
+    def test_fractional_modulo(self, monkeypatch):
         spec = DecimalSpec(6, 1)
         kernel = ir.KernelIR(
             name="bad",
@@ -125,13 +137,13 @@ class TestRejectsBrokenKernels:
             register_words=2,
         )
         with pytest.raises(CodegenError, match="integer"):
-            verify_kernel(kernel)
+            compile_with(kernel, monkeypatch)
 
-    def test_store_spec_mismatch(self):
+    def test_store_spec_mismatch(self, monkeypatch):
         kernel = valid_kernel()
         kernel.result_spec = DecimalSpec(30, 5)
         with pytest.raises(CodegenError, match="result spec"):
-            verify_kernel(kernel)
+            compile_with(kernel, monkeypatch)
 
 
 class TestCollectAllFindings:
@@ -152,17 +164,17 @@ class TestCollectAllFindings:
         )
 
     def test_non_strict_collects_every_finding(self):
-        findings = verify_kernel(self.multi_problem_kernel(), strict=False)
+        findings = check_structure(self.multi_problem_kernel())
         rules = {finding.rule for finding in findings}
         assert {"STRUCT001", "STRUCT002", "STRUCT003"} <= rules
         assert all(finding.severity.name == "ERROR" for finding in findings)
 
-    def test_strict_raises_the_first_finding(self):
+    def test_strict_raises_the_first_finding(self, monkeypatch):
         kernel = self.multi_problem_kernel()
-        first = verify_kernel(kernel, strict=False)[0]
+        first = check_structure(kernel)[0]
         with pytest.raises(CodegenError) as excinfo:
-            verify_kernel(kernel)
+            compile_with(kernel, monkeypatch)
         assert str(excinfo.value) == first.message
 
     def test_valid_kernel_returns_no_findings(self):
-        assert verify_kernel(valid_kernel(), strict=False) == []
+        assert check_structure(valid_kernel()) == []
