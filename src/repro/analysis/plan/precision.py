@@ -57,9 +57,8 @@ from repro.core.decimal.context import DecimalSpec
 from repro.core.jit import expr_ast
 from repro.core.jit.pipeline import JitOptions, KernelCache
 from repro.engine.plan.physical import (
-    AggregateOp,
+    AggregationOp,
     DropOp,
-    GroupAggregateOp,
     HashJoinOp,
     NestedLoopJoinOp,
     ProjectOp,
@@ -156,16 +155,15 @@ def check_precision_flow(
                 elif name in non_decimal:
                     produced_other.add(name)
             schema, non_decimal = produced, produced_other
-        elif isinstance(op, (AggregateOp, GroupAggregateOp)):
+        elif isinstance(op, AggregationOp):
             produced = {}
             produced_other = set()
-            if isinstance(op, GroupAggregateOp):
-                for name in op.group_by:
-                    if name in schema:
-                        produced[name] = schema[name]
-                    else:
-                        produced_other.add(name)
-            for index, item in enumerate(op.items):
+            for name in op.group_by:
+                if name in schema:
+                    produced[name] = schema[name]
+                else:
+                    produced_other.add(name)
+            for index, item in enumerate(op.aggregates):
                 call = item.expression
                 if call.function == "COUNT":
                     produced[item.name] = inference.count_spec(sim_n)

@@ -1,7 +1,7 @@
 """Rewrite-soundness differential pass (``RULE*`` rules).
 
 Every rewrite-rule firing records structural before/after snapshots of the
-logical node list (:func:`repro.engine.plan.rules.snapshot_nodes`).  This
+operator list (:func:`repro.engine.plan.rules.snapshot_nodes`).  This
 pass replays each firing and verifies the *rule-specific* invariant that
 makes the rewrite semantics-preserving -- a differential check, so a rule
 bug (pushdown dropping a conjunct, reordering losing a join, pruning

@@ -31,10 +31,9 @@ from typing import List, Optional, Set
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.engine.plan.physical import (
-    AggregateOp,
+    AggregationOp,
     DropOp,
     FilterOp,
-    GroupAggregateOp,
     HashJoinOp,
     LimitOp,
     NestedLoopJoinOp,
@@ -181,23 +180,16 @@ def check_schema_flow(plan_ops, stats=None, label: str = "") -> List[Diagnostic]
             for name in op.carry:
                 require(name, "projection carry", position)
             available = produced | (set(op.carry) & available)
-        elif isinstance(op, AggregateOp):
-            for item in op.items:
-                call = item.expression
-                if call.argument != "*":
-                    for name in _expression_columns(call.argument, universe):
-                        require(name, f"aggregate {call}", position)
-            available = {item.name for item in op.items}
-        elif isinstance(op, GroupAggregateOp):
+        elif isinstance(op, AggregationOp):
             for name in op.group_by:
                 require(name, "group by", position)
-            for item in op.items:
+            for item in op.aggregates:
                 call = item.expression
                 if call.argument != "*":
                     for name in _expression_columns(call.argument, universe):
                         require(name, f"aggregate {call}", position)
             available = (set(op.group_by) & available) | {
-                item.name for item in op.items
+                item.name for item in op.aggregates
             }
         elif isinstance(op, SortOp):
             for key in op.keys:

@@ -16,7 +16,7 @@ from repro.analysis import AnalysisReport
 from repro.core.jit.pipeline import JitOptions
 from repro.engine.plan.cost import CostModel, OptimizerConfig
 from repro.engine.plan.physical import (
-    AggregateOp,
+    AggregationOp,
     DropOp,
     FilterOp,
     GroupAggregateOp,
@@ -151,6 +151,7 @@ def explain_query(
         stored_columns.update(joined_relation.column_names)
     operators: List[str] = []
     kernels: List[KernelPlan] = []
+    compiled_irs = []  # each kernel's IR, for the compile-time model
     # Mirrors the executor's residency tracking: only a column's first
     # kernel use pays (and overlaps) its host-to-device transfer.
     resident: set = set()
@@ -160,6 +161,7 @@ def explain_query(
         if bare in schema or bare in stored_columns or bare == "*":
             return  # bare columns need no kernel
         compiled = compile_expression(text, schema, jit_options, name=name)
+        compiled_irs.append(compiled.kernel)
         estimate = gpu_timing.kernel_time(compiled.kernel, simulate_rows, device)
         plan = KernelPlan(
             name=name,
@@ -219,18 +221,13 @@ def explain_query(
                 line += f" carry [{', '.join(op.carry)}]"
             for index, item in enumerate(op.items):
                 add_kernel(item.expression, f"calc_expr_{index}")
-        elif isinstance(op, AggregateOp):
-            line = "Aggregate [" + ", ".join(str(i.expression) for i in op.items) + "]"
-            for index, item in enumerate(op.items):
-                call = item.expression
-                if isinstance(call, AggregateCall) and call.function != "COUNT":
-                    add_kernel(call.argument, f"agg_expr_{index}")
-        elif isinstance(op, GroupAggregateOp):
-            line = (
-                f"GroupAggregate keys=[{', '.join(op.group_by)}] "
-                "[" + ", ".join(str(i.expression) for i in op.items) + "]"
-            )
-            for index, item in enumerate(op.items):
+        elif isinstance(op, AggregationOp):
+            aggregates = "[" + ", ".join(str(i.expression) for i in op.aggregates) + "]"
+            if isinstance(op, GroupAggregateOp):
+                line = f"GroupAggregate keys=[{', '.join(op.group_by)}] {aggregates}"
+            else:
+                line = f"Aggregate {aggregates}"
+            for index, item in enumerate(op.aggregates):
                 call = item.expression
                 if isinstance(call, AggregateCall) and call.function != "COUNT":
                     add_kernel(call.argument, f"agg_expr_{index}")
@@ -257,13 +254,7 @@ def explain_query(
             operators.append(line)
 
     # Reuse the compile-time model on the actual kernel set.
-    compile_seconds = 0.0
-    if kernels:
-        compiled_irs = [
-            compile_expression(kernel.expression, schema, jit_options, name=kernel.name).kernel
-            for kernel in kernels
-        ]
-        compile_seconds = gpu_timing.compile_time(compiled_irs)
+    compile_seconds = gpu_timing.compile_time(compiled_irs)
 
     # Streamed kernels are estimated at their pipelined time (which folds
     # in the overlapped H2D transfer); serial kernels at their launch time.

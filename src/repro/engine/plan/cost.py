@@ -18,7 +18,6 @@ estimator being right.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -37,7 +36,7 @@ from repro.storage.schema import DecimalType
 class OptimizerConfig:
     """Whether the optimizer runs for a query.
 
-    Enabled (the default), the planner applies the logical rewrite rules
+    Enabled (the default), the planner applies the rewrite rules
     (pushdown, merge, pruning, statistics-driven join reordering), chooses
     hash vs nested-loop joins by cost, and sizes stream chunks by cost.
     ``OptimizerConfig.off()`` reproduces the historical fixed-shape planner
@@ -340,7 +339,7 @@ class CostModel:
         return CostEstimate(0.0, seconds, rows)
 
     def sort(self, key_bytes_per_row: float, rows: float) -> CostEstimate:
-        passes = max(1, int(math.log2(max(rows, 2)) / 8))
+        passes = gpu_timing.sort_passes(rows)
         seconds = (
             gpu_timing.dram_pass_time(passes * key_bytes_per_row * rows, self.device)
             + self.device.kernel_launch_overhead
@@ -352,7 +351,7 @@ class CostModel:
         self, key_bytes_per_row: float, value_bytes_per_row: float, rows: float, groups: float
     ) -> CostEstimate:
         key_sort = self.sort(key_bytes_per_row, rows).total_seconds
-        gather = value_bytes_per_row * rows / 4.0e9  # GROUP_GATHER_BANDWIDTH
+        gather = gpu_timing.group_gather_time(value_bytes_per_row * rows)
         reduce_pass = gpu_timing.dram_pass_time(value_bytes_per_row * rows, self.device)
         total = key_sort + gather + reduce_pass
         return CostEstimate(total, total, groups)

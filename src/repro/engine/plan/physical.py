@@ -8,7 +8,6 @@ executor threads a :class:`Batch` through the chain.
 
 from __future__ import annotations
 
-import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -219,12 +218,18 @@ class ScanOp(PhysicalOp):
     """
 
     def __init__(
-        self, columns: List[str], predicates: Optional[List[Comparison]] = None
+        self,
+        columns: List[str],
+        predicates: Optional[List[Comparison]] = None,
+        table: str = "",
     ):
-        self.columns = columns
+        self.columns = columns  # the columns the query actually touches
         #: Literal conjuncts from the immediately-following filter; used
         #: only for zone-map chunk pruning, never for row elimination.
         self.predicates = list(predicates or [])
+        #: The scanned relation's name, for plan snapshots; ``run`` reads
+        #: ``context.relation``.
+        self.table = table
 
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         relation = context.relation
@@ -290,7 +295,11 @@ class ScanOp(PhysicalOp):
 
 
 class FilterOp(PhysicalOp):
-    """Apply WHERE conjuncts; selectivity scales the simulated row count."""
+    """Apply WHERE conjuncts; selectivity scales the simulated row count.
+
+    A filter after the aggregate is the HAVING clause: it runs over the
+    aggregated batch, where output aliases resolve.
+    """
 
     def __init__(self, predicates: List[Comparison], always_false: bool = False):
         self.predicates = predicates
@@ -319,9 +328,10 @@ class FilterOp(PhysicalOp):
             for name in predicate_columns
         )
         traffic = predicate_bytes * batch.simulated_rows
-        context.report.filter_seconds += traffic / (
-            context.device.dram_bandwidth * context.device.dram_efficiency
-        ) + context.device.kernel_launch_overhead
+        context.report.filter_seconds += (
+            gpu_timing.dram_pass_time(traffic, context.device)
+            + context.device.kernel_launch_overhead
+        )
         return Batch(
             columns={name: column.take(indices) for name, column in batch.columns.items()},
             rows=len(indices),
@@ -329,7 +339,7 @@ class FilterOp(PhysicalOp):
         )
 
 
-class _JoinOp(PhysicalOp):
+class JoinOp(PhysicalOp):
     """Shared right-side handling and match kernel for the equi-joins.
 
     The joined relation is scanned and shipped over PCIe like any other
@@ -349,7 +359,7 @@ class _JoinOp(PhysicalOp):
         right_predicates: Optional[List[Comparison]] = None,
     ):
         self.join = join
-        self.right_columns = right_columns
+        self.right_columns = right_columns  # the joined table's shipped columns
         self.right_predicates = list(right_predicates or [])
 
     def _prepare_right(self, context: QueryContext):
@@ -435,7 +445,7 @@ class _JoinOp(PhysicalOp):
         )
 
 
-class HashJoinOp(_JoinOp):
+class HashJoinOp(JoinOp):
     """Inner equi-join: hash-build on the joined table, probe the batch.
 
     The simulated cost covers the right-side scan/transfer, one build pass
@@ -452,7 +462,7 @@ class HashJoinOp(_JoinOp):
         return self._join(batch, right_relation, keep)
 
 
-class NestedLoopJoinOp(_JoinOp):
+class NestedLoopJoinOp(JoinOp):
     """Inner equi-join by exhaustive comparison.
 
     The cost model picks this over the hash join only when the build side
@@ -512,21 +522,32 @@ class ProjectOp(PhysicalOp):
 AGGREGATION_TPI = 8
 
 
-class AggregateOp(PhysicalOp):
+class AggregationOp(PhysicalOp):
+    """What the two aggregation operators share: ``items`` is the whole
+    SELECT list, only its :attr:`aggregates` compute, and ``group_by``
+    holds the key columns (empty when ungrouped)."""
+
+    def __init__(self, items: List[SelectItem], group_by: Optional[List[str]] = None):
+        self.items = items
+        self.group_by = group_by or []
+
+    @property
+    def aggregates(self) -> List[SelectItem]:
+        return [item for item in self.items if item.is_aggregate]
+
+
+class AggregateOp(AggregationOp):
     """Ungrouped aggregation via the multi-threaded multi-pass reducer.
 
     The engine has no NULL, so SUM/AVG/MIN/MAX over zero rows raise
     :class:`ExecutionError`; ``COUNT(*)`` returns 0.
     """
 
-    def __init__(self, items: List[SelectItem]):
-        self.items = items
-
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         assert batch is not None
         out: Dict[str, Column] = {}
         sim_n = max(int(round(batch.simulated_rows)), 1)
-        for index, item in enumerate(self.items):
+        for index, item in enumerate(self.aggregates):
             call = item.expression
             assert isinstance(call, AggregateCall)
             if call.function == "COUNT":
@@ -556,13 +577,7 @@ class AggregateOp(PhysicalOp):
         return Batch(columns=out, rows=1, simulated_rows=1.0)
 
 
-#: Effective bandwidth of the grouped-aggregation data reorganisation:
-#: segment gather/scatter of wide decimal payloads after the key sort is
-#: far from streaming speed.  Calibrated on Figure 14(b)'s Q1 LEN sweep.
-GROUP_GATHER_BANDWIDTH = 4.0e9
-
-
-class GroupAggregateOp(PhysicalOp):
+class GroupAggregateOp(AggregationOp):
     """GROUP BY + aggregates.
 
     Tuples are grouped by sorting on the key columns (DECIMAL keys compare
@@ -572,12 +587,9 @@ class GroupAggregateOp(PhysicalOp):
     segment), and the multi-pass reduction itself.
     """
 
-    def __init__(self, group_by: List[str], items: List[SelectItem]):
-        self.group_by = group_by
-        self.items = items
-
     def run(self, batch: Optional[Batch], context: QueryContext) -> Batch:
         assert batch is not None
+        aggregates = self.aggregates
         keys = [_grouping_key(batch.column(name)) for name in self.group_by]
         rows = batch.rows
         composite = list(zip(*keys)) if keys else [()] * rows
@@ -591,17 +603,17 @@ class GroupAggregateOp(PhysicalOp):
         key_bytes = sum(
             batch.column(name).bytes_stored / max(rows, 1) for name in self.group_by
         )
-        sort_passes = max(1, int(math.log2(max(sim_n, 2)) / 8))
-        context.report.sort_seconds += (
-            sort_passes * key_bytes * batch.simulated_rows
-        ) / (context.device.dram_bandwidth * context.device.dram_efficiency)
+        context.report.sort_seconds += gpu_timing.dram_pass_time(
+            gpu_timing.sort_passes(sim_n) * key_bytes * batch.simulated_rows,
+            context.device,
+        )
 
         out: Dict[str, List] = {name: [] for name in self.group_by}
         aggregate_columns: Dict[str, Tuple[List[int], DecimalSpec]] = {}
 
         # Evaluate each aggregate's input expression once over all rows.
         vectors: Dict[int, Tuple[List[int], DecimalSpec]] = {}
-        for index, item in enumerate(self.items):
+        for index, item in enumerate(aggregates):
             call = item.expression
             assert isinstance(call, AggregateCall)
             if call.function != "COUNT":
@@ -614,8 +626,8 @@ class GroupAggregateOp(PhysicalOp):
                 # Payload gather: every (4*Lw+1)-byte value moves into its
                 # group segment before the blockwise reduction.
                 value_bytes = 4 * vector.spec.words + 1
-                context.report.aggregate_seconds += (
-                    batch.simulated_rows * value_bytes / GROUP_GATHER_BANDWIDTH
+                context.report.aggregate_seconds += gpu_timing.group_gather_time(
+                    batch.simulated_rows * value_bytes
                 )
 
         group_sim = sim_n / max(len(groups), 1)
@@ -623,7 +635,7 @@ class GroupAggregateOp(PhysicalOp):
             indices = group_order[key]
             for position, name in enumerate(self.group_by):
                 out[name].append(key[position])
-            for index, item in enumerate(self.items):
+            for index, item in enumerate(aggregates):
                 call = item.expression
                 assert isinstance(call, AggregateCall)
                 if call.function == "COUNT":
@@ -648,7 +660,7 @@ class GroupAggregateOp(PhysicalOp):
 
         # Zero-group inputs (everything filtered away) still need typed,
         # empty output columns.
-        for index, item in enumerate(self.items):
+        for index, item in enumerate(aggregates):
             if item.name in aggregate_columns:
                 continue
             call = item.expression
@@ -661,7 +673,7 @@ class GroupAggregateOp(PhysicalOp):
         columns: Dict[str, Column] = {}
         for name in self.group_by:
             columns[name] = _column_from_keys(name, out[name], batch.column(name))
-        for item in self.items:
+        for item in aggregates:
             values, spec = aggregate_columns[item.name]
             columns[item.name] = Column.decimal_from_unscaled(item.name, values, spec)
         return Batch(columns=columns, rows=len(groups), simulated_rows=float(len(groups)))

@@ -1,10 +1,11 @@
-"""Logical -> physical planning: rewrite rules, costing, physical choice.
+"""Query -> operator list -> rewrite rules -> costing (paper Figure 3).
 
-``plan_query`` builds the logical chain, drives the rewrite-rule engine
-(:mod:`repro.engine.plan.rules`) to a fixpoint, lowers each logical node
-to a physical operator -- choosing between physical alternatives (hash vs
-nested-loop join) with the :class:`~repro.engine.plan.cost.CostModel` --
-and annotates every operator with an ISGBD-style per-node
+:func:`build_plan` turns a parsed query straight into the bottom-up
+physical operator list, with a hash join for every join.  ``plan_query``
+then drives the rewrite-rule engine (:mod:`repro.engine.plan.rules`) to a
+fixpoint over that list, swaps a join to the nested-loop algorithm where
+the :class:`~repro.engine.plan.cost.CostModel` prefers it, and annotates
+every operator with an ISGBD-style per-node
 :class:`~repro.engine.plan.cost.CostEstimate` for EXPLAIN.
 
 The returned :class:`PhysicalPlan` behaves like the plain operator list
@@ -25,25 +26,13 @@ from repro.engine.plan.cost import (
     join_output_rows,
     predicate_selectivity,
 )
-from repro.engine.plan.logical import (
-    LogicalAggregate,
-    LogicalDrop,
-    LogicalFilter,
-    LogicalHaving,
-    LogicalJoin,
-    LogicalLimit,
-    LogicalProject,
-    LogicalScan,
-    LogicalSort,
-    build_logical_plan,
-    chain_to_list,
-)
 from repro.engine.plan.physical import (
     AggregateOp,
     DropOp,
     FilterOp,
     GroupAggregateOp,
     HashJoinOp,
+    JoinOp,
     LimitOp,
     NestedLoopJoinOp,
     PhysicalOp,
@@ -51,7 +40,7 @@ from repro.engine.plan.physical import (
     ScanOp,
     SortOp,
 )
-from repro.engine.plan.rules import RewriteEvent, apply_rules, default_rules
+from repro.engine.plan.rules import RewriteEvent, apply_rules, default_rules, mentions
 from repro.engine.sql.ast_nodes import Query
 from repro.errors import PlanningError
 
@@ -91,6 +80,53 @@ class PhysicalPlan:
         return self.ops[index]
 
 
+def build_plan(
+    query: Query,
+    available_columns: List[str],
+    joined_columns: "Optional[dict]" = None,
+) -> List[PhysicalOp]:
+    """Turn a parsed query into its bottom-up operator list (scan first).
+
+    ``joined_columns`` maps each JOINed table name to its column list so
+    column references resolve across every relation in the query.  A
+    :class:`FilterOp` after the aggregate is the HAVING clause.
+    """
+    joined_columns = joined_columns or {}
+    # Columns named in any ON clause must survive from whichever relation
+    # owns them (a later join's left key may come from an earlier join).
+    on_columns = [c for join in query.joins for c in (join.left_column, join.right_column)]
+    referenced = _referenced_columns(query, available_columns)
+    for column in on_columns:
+        if column in available_columns and column not in referenced:
+            referenced.append(column)
+    ops: List[PhysicalOp] = [ScanOp(referenced, table=query.table)]
+    for join in query.joins:
+        right_available = joined_columns.get(join.table, [])
+        right_needed = _referenced_columns(query, right_available)
+        for column in on_columns:
+            if column in right_available and column not in right_needed:
+                right_needed.append(column)
+        ops.append(HashJoinOp(join, right_needed))
+    if query.where:
+        ops.append(FilterOp(query.where))
+    if query.has_aggregates:
+        if query.group_by:
+            ops.append(GroupAggregateOp(query.select_items, query.group_by))
+        elif all(item.is_aggregate for item in query.select_items):
+            ops.append(AggregateOp(query.select_items))
+        else:
+            raise PlanningError("mixing aggregates and bare expressions requires GROUP BY")
+        if query.having:
+            ops.append(FilterOp(query.having))
+    else:
+        ops.append(ProjectOp(query.select_items))
+    if query.order_by:
+        ops.append(SortOp(query.order_by))
+    if query.limit is not None:
+        ops.append(LimitOp(query.limit))
+    return ops
+
+
 def plan_query(
     query: Query,
     available_columns: List[str],
@@ -111,103 +147,68 @@ def plan_query(
     optimized or not.
     """
     optimizer = optimizer if optimizer is not None else OptimizerConfig.off()
-    logical = build_logical_plan(query, available_columns, joined_columns)
-    nodes = chain_to_list(logical)
-    nodes, events = apply_rules(nodes, default_rules(optimize=optimizer.enabled), stats)
+    ops = build_plan(query, available_columns, joined_columns)
+    ops, events = apply_rules(ops, default_rules(optimize=optimizer.enabled), stats)
 
     choices: List[str] = []
-    ops: List[PhysicalOp] = []
     costed = stats is not None and cost_model is not None
     rows = float(stats.simulate_rows) if stats is not None else 0.0
 
-    for node in nodes:
+    for index, op in enumerate(ops):
         estimate: Optional[CostEstimate] = None
-        if isinstance(node, LogicalScan):
-            op: PhysicalOp = ScanOp(node.columns)
+        if isinstance(op, ScanOp):
             if costed:
-                estimate = cost_model.scan(stats.main.bytes_for(node.columns) * rows, rows)
-        elif isinstance(node, LogicalJoin):
-            op, estimate, rows = _plan_join(
-                node, rows, stats, optimizer, cost_model, choices
-            )
-        elif isinstance(node, LogicalFilter):
-            op = FilterOp(node.predicates, always_false=node.always_false)
+                estimate = cost_model.scan(stats.main.bytes_for(op.columns) * rows, rows)
+        elif isinstance(op, JoinOp):
+            op, estimate, rows = _plan_join(op, rows, stats, optimizer, cost_model, choices)
+            ops[index] = op
+        elif isinstance(op, FilterOp):
             if costed:
-                if node.always_false:
+                if op.always_false:
                     estimate = CostEstimate(0.0, 0.0, 0.0)
                 else:
                     estimate = cost_model.filter(
-                        node.predicates,
-                        _predicate_bytes(node.predicates, stats),
+                        op.predicates,
+                        _predicate_bytes(op.predicates, stats),
                         rows,
                         table=stats.main,
                     )
-            if node.always_false:
+            if op.always_false:
                 rows = 0.0
             else:
                 rows *= predicate_selectivity(
-                    node.predicates, stats.main if stats is not None else None
+                    op.predicates, stats.main if stats is not None else None
                 )
-        elif isinstance(node, LogicalAggregate):
-            if node.group_by:
-                aggregates = [item for item in node.aggregates if item.is_aggregate]
-                op = GroupAggregateOp(node.group_by, aggregates)
-                groups = _estimate_groups(node.group_by, rows, stats)
-                if costed:
-                    key_bytes = sum(_column_bytes(stats, name) for name in node.group_by)
-                    estimate = cost_model.group_aggregate(
-                        key_bytes, ESTIMATED_RESULT_BYTES * len(aggregates), rows, groups
-                    )
-                rows = groups
-            else:
-                if not all(item.is_aggregate for item in node.aggregates):
-                    raise PlanningError(
-                        "mixing aggregates and bare expressions requires GROUP BY"
-                    )
-                op = AggregateOp(node.aggregates)
-                if costed:
-                    estimate = cost_model.aggregate(
-                        ESTIMATED_RESULT_BYTES * len(node.aggregates), rows
-                    )
-                rows = 1.0
-        elif isinstance(node, LogicalProject):
-            op = ProjectOp(node.items, carry=node.carry)
+        elif isinstance(op, GroupAggregateOp):
+            groups = _estimate_groups(op.group_by, rows, stats)
+            if costed:
+                key_bytes = sum(_column_bytes(stats, name) for name in op.group_by)
+                estimate = cost_model.group_aggregate(
+                    key_bytes, ESTIMATED_RESULT_BYTES * len(op.aggregates), rows, groups
+                )
+            rows = groups
+        elif isinstance(op, AggregateOp):
+            if costed:
+                estimate = cost_model.aggregate(ESTIMATED_RESULT_BYTES * len(op.aggregates), rows)
+            rows = 1.0
+        elif isinstance(op, ProjectOp):
             if costed:
                 result_bytes = sum(
-                    _column_bytes(stats, str(item.expression).strip())
-                    for item in node.items
+                    _column_bytes(stats, str(item.expression).strip()) for item in op.items
                 )
                 estimate = cost_model.project(result_bytes, rows)
-        elif isinstance(node, LogicalHaving):
-            op = FilterOp(node.predicates)
+        elif isinstance(op, SortOp):
             if costed:
-                estimate = cost_model.filter(
-                    node.predicates,
-                    _predicate_bytes(node.predicates, stats),
-                    rows,
-                    table=stats.main,
-                )
-            rows *= predicate_selectivity(
-                node.predicates, stats.main if stats is not None else None
-            )
-        elif isinstance(node, LogicalSort):
-            op = SortOp(node.keys)
-            if costed:
-                key_bytes = sum(_column_bytes(stats, key.column) for key in node.keys)
+                key_bytes = sum(_column_bytes(stats, key.column) for key in op.keys)
                 estimate = cost_model.sort(key_bytes, rows)
-        elif isinstance(node, LogicalDrop):
-            op = DropOp(node.columns)
+        elif isinstance(op, DropOp):
             if costed:
                 estimate = CostEstimate(0.0, 0.0, rows)
-        elif isinstance(node, LogicalLimit):
-            op = LimitOp(node.count)
+        elif isinstance(op, LimitOp):
             if costed:
-                estimate = cost_model.limit(node.count, rows)
-            rows = min(float(node.count), rows)
-        else:
-            raise PlanningError(f"unknown logical node {type(node).__name__}")
+                estimate = cost_model.limit(op.count, rows)
+            rows = min(float(op.count), rows)
         op.estimated = estimate
-        ops.append(op)
     _push_zone_predicates(ops)
     plan = PhysicalPlan(ops, events, choices)
     # Imported lazily: repro.analysis.plan pulls in the JIT pipeline,
@@ -251,14 +252,14 @@ def _push_zone_predicates(ops: List[PhysicalOp]) -> None:
 
 
 def _plan_join(
-    node: LogicalJoin,
+    op: JoinOp,
     rows: float,
     stats: Optional[PlanStats],
     optimizer: OptimizerConfig,
     cost_model: Optional[CostModel],
     choices: List[str],
 ):
-    """Lower one join, cost-choosing the algorithm when enabled.
+    """Cost one join, choosing its algorithm when the optimizer is on.
 
     The estimates keep the catalog's *relative* cardinalities (the right
     side scales by ``simulate_rows / main.rows``) rather than the
@@ -267,22 +268,18 @@ def _plan_join(
     alike but squares the nested-loop term, so estimating on inflated
     counts would never classify any build side as small.
     """
-    right = stats.table(node.join.table) if stats is not None else None
+    right = stats.table(op.join.table) if stats is not None else None
     if right is None or cost_model is None:
-        return (
-            HashJoinOp(node.join, node.right_columns, node.right_predicates),
-            None,
-            rows,
-        )
+        return op, None, rows
     scale = stats.simulate_rows / max(stats.main.rows, 1)
-    survival = predicate_selectivity(node.right_predicates, right)
+    survival = predicate_selectivity(op.right_predicates, right)
     right_rows = right.rows * scale * survival
-    right_bytes = right.bytes_for(node.right_columns) * right_rows
+    right_bytes = right.bytes_for(op.right_columns) * right_rows
     # |L| * |R| / max(ndv(L.key), ndv(R.key)).  NDVs are catalog-scale, so
     # inflate them by the same simulate factor as the row counts: a key
     # column's distinct count grows with the relation it indexes.
-    left_ndv = stats.column_ndv(node.join.left_column)
-    right_ndv = right.ndv(node.join.right_column)
+    left_ndv = stats.column_ndv(op.join.left_column)
+    right_ndv = right.ndv(op.join.right_column)
     out_rows = join_output_rows(
         rows,
         right_rows,
@@ -290,23 +287,19 @@ def _plan_join(
         right_ndv * scale if right_ndv else 0.0,
     )
     if not optimizer.enabled:
-        estimate = cost_model.hash_join(rows, right_rows, right_bytes, out_rows)
-        return (
-            HashJoinOp(node.join, node.right_columns, node.right_predicates),
-            estimate,
-            out_rows,
-        )
+        return op, cost_model.hash_join(rows, right_rows, right_bytes, out_rows), out_rows
     name, estimate, candidates = cost_model.choose_join(
         rows, right_rows, right_bytes, out_rows
     )
     loser = next(key for key in candidates if key != name)
     choices.append(
-        f"join {node.join.table}: {name} "
+        f"join {op.join.table}: {name} "
         f"({estimate.total_seconds:.4f}s vs {loser} "
         f"{candidates[loser].total_seconds:.4f}s, est {out_rows:,.0f} rows out)"
     )
-    op_type = HashJoinOp if name == "hash" else NestedLoopJoinOp
-    return op_type(node.join, node.right_columns, node.right_predicates), estimate, out_rows
+    if name != "hash":
+        op = NestedLoopJoinOp(op.join, op.right_columns, op.right_predicates)
+    return op, estimate, out_rows
 
 
 def _estimate_groups(
@@ -344,3 +337,23 @@ def _predicate_bytes(predicates, stats: Optional[PlanStats]) -> float:
     columns = {p.column for p in predicates}
     columns.update(p.column_rhs for p in predicates if p.column_rhs)
     return sum(_column_bytes(stats, name) for name in columns)
+
+
+def _referenced_columns(query: Query, available: List[str]) -> List[str]:
+    """Columns the query touches, in catalog order (drives scan/PCIe cost)."""
+    mentioned = set()
+    for item in query.select_items:
+        text = item.expression.argument if item.is_aggregate else item.expression
+        for name in available:
+            if mentions(text, name):
+                mentioned.add(name)
+    for predicate in list(query.where) + list(query.having):
+        mentioned.add(predicate.column)
+        if predicate.column_rhs is not None:
+            mentioned.add(predicate.column_rhs)
+    mentioned.update(query.group_by)
+    for key in query.order_by:
+        if key.column in available:
+            mentioned.add(key.column)
+    return [name for name in available if name in mentioned]
+

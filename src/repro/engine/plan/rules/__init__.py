@@ -1,14 +1,16 @@
-"""Rewrite-rule engine over the logical plan (DBSim ``planners/rules`` style).
+"""Rewrite-rule engine over the operator list (DBSim ``planners/rules`` style).
 
-A :class:`RewriteRule` inspects the bottom-up logical node list and either
-returns a rewritten list plus a human-readable detail, or ``None`` when it
-has nothing to do.  :func:`apply_rules` drives the rule set to a fixpoint
-and records a :class:`RewriteEvent` per firing -- the trace EXPLAIN prints
-under ``rewrites:``.  Each event also carries structural before/after
-snapshots of the node list (:func:`snapshot_nodes`) so the plan analyzer's
+A :class:`RewriteRule` inspects the bottom-up operator list -- scan
+first, as :func:`repro.engine.plan.planner.build_plan` emits it, before
+any cost-based choice -- and either returns a rewritten list plus a
+human-readable detail, or ``None`` when it has nothing to do.
+:func:`apply_rules` drives the rule set to a fixpoint and records a
+:class:`RewriteEvent` per firing -- the trace EXPLAIN prints under
+``rewrites:``.  Each event also carries structural before/after snapshots
+of the operator list (:func:`snapshot_nodes`) so the plan analyzer's
 rewrite-soundness pass (``repro.analysis.plan.rewrite_audit``) can verify
 rule-specific invariants after the fact; the snapshots are plain tuples
-because the rules mutate nodes in place.
+because the rules mutate operators in place.
 
 The stock rule set:
 
@@ -27,28 +29,44 @@ The stock rule set:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from typing import FrozenSet, List, Optional, Tuple
 
-from repro.engine.plan.logical import (
-    LogicalAggregate,
-    LogicalDrop,
-    LogicalFilter,
-    LogicalHaving,
-    LogicalJoin,
-    LogicalLimit,
-    LogicalNode,
-    LogicalProject,
-    LogicalScan,
-    LogicalSort,
+from repro.engine.plan.physical import (
+    AggregationOp,
+    DropOp,
+    FilterOp,
+    JoinOp,
+    LimitOp,
+    PhysicalOp,
+    ProjectOp,
+    ScanOp,
+    SortOp,
 )
 
-#: A structural snapshot of one logical node: a plain tuple whose first
+#: A structural snapshot of one operator: a plain tuple whose first
 #: element names the node kind.  Predicates appear as
 #: ``(column, op, str(literal), column_rhs)`` 4-tuples so the audit pass
 #: can reason about conjunct multisets and column placement without
 #: holding references to the (mutable) live nodes.
 NodeSnapshot = Tuple[object, ...]
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@lru_cache(maxsize=1024)
+def _identifiers(text: str) -> FrozenSet[str]:
+    """Every identifier token in ``text`` (cached: expressions repeat)."""
+    return frozenset(_IDENTIFIER.findall(text))
+
+
+def mentions(text: str, name: str) -> bool:
+    """Whole-token column mention: ``o_orderkey`` never matches inside
+    ``o_orderkey2`` (token membership, not substring or regex search)."""
+    return name in _identifiers(text)
 
 
 def _predicate_snapshot(predicate) -> Tuple[str, str, str, Optional[str]]:
@@ -60,7 +78,24 @@ def _predicate_snapshot(predicate) -> Tuple[str, str, str, Optional[str]]:
     )
 
 
-def snapshot_nodes(nodes: List[LogicalNode]) -> Tuple[NodeSnapshot, ...]:
+def join_section(
+    nodes: List[PhysicalOp],
+) -> Optional[Tuple[int, List[JoinOp], List[FilterOp]]]:
+    """The rewritable section: the leading run of joins and filters after
+    the scan.  Returns ``(section_end, joins, filters)``, or ``None`` when
+    the list does not start with a scan."""
+    if not nodes or not isinstance(nodes[0], ScanOp):
+        return None
+    section_end = 1
+    while section_end < len(nodes) and isinstance(nodes[section_end], (JoinOp, FilterOp)):
+        section_end += 1
+    section = nodes[1:section_end]
+    joins = [node for node in section if isinstance(node, JoinOp)]
+    filters = [node for node in section if isinstance(node, FilterOp)]
+    return section_end, joins, filters
+
+
+def snapshot_nodes(nodes: List[PhysicalOp]) -> Tuple[NodeSnapshot, ...]:
     """Deep-copy the *structure* of a bottom-up node list into tuples.
 
     Taken eagerly before/after each rule firing because every stock rule
@@ -69,10 +104,11 @@ def snapshot_nodes(nodes: List[LogicalNode]) -> Tuple[NodeSnapshot, ...]:
     would silently reflect later rewrites.
     """
     snapshots: List[NodeSnapshot] = []
+    aggregated = False
     for node in nodes:
-        if isinstance(node, LogicalScan):
+        if isinstance(node, ScanOp):
             snapshots.append(("scan", node.table, tuple(node.columns)))
-        elif isinstance(node, LogicalJoin):
+        elif isinstance(node, JoinOp):
             snapshots.append(
                 (
                     "join",
@@ -83,7 +119,11 @@ def snapshot_nodes(nodes: List[LogicalNode]) -> Tuple[NodeSnapshot, ...]:
                     tuple(_predicate_snapshot(p) for p in node.right_predicates),
                 )
             )
-        elif isinstance(node, LogicalFilter):
+        elif isinstance(node, FilterOp) and aggregated:  # HAVING
+            snapshots.append(
+                ("having", tuple(_predicate_snapshot(p) for p in node.predicates))
+            )
+        elif isinstance(node, FilterOp):
             snapshots.append(
                 (
                     "filter",
@@ -91,11 +131,7 @@ def snapshot_nodes(nodes: List[LogicalNode]) -> Tuple[NodeSnapshot, ...]:
                     node.always_false,
                 )
             )
-        elif isinstance(node, LogicalHaving):
-            snapshots.append(
-                ("having", tuple(_predicate_snapshot(p) for p in node.predicates))
-            )
-        elif isinstance(node, LogicalProject):
+        elif isinstance(node, ProjectOp):
             snapshots.append(
                 (
                     "project",
@@ -104,22 +140,23 @@ def snapshot_nodes(nodes: List[LogicalNode]) -> Tuple[NodeSnapshot, ...]:
                     tuple(node.carry),
                 )
             )
-        elif isinstance(node, LogicalDrop):
+        elif isinstance(node, DropOp):
             snapshots.append(("drop", tuple(node.columns)))
-        elif isinstance(node, LogicalAggregate):
+        elif isinstance(node, AggregationOp):
+            aggregated = True
             snapshots.append(
                 (
                     "aggregate",
-                    tuple(item.name for item in node.aggregates),
-                    tuple(str(item.expression) for item in node.aggregates),
+                    tuple(item.name for item in node.items),
+                    tuple(str(item.expression) for item in node.items),
                     tuple(node.group_by),
                 )
             )
-        elif isinstance(node, LogicalSort):
+        elif isinstance(node, SortOp):
             snapshots.append(
                 ("sort", tuple((key.column, key.ascending) for key in node.keys))
             )
-        elif isinstance(node, LogicalLimit):
+        elif isinstance(node, LimitOp):
             snapshots.append(("limit", node.count))
         else:  # pragma: no cover - future node kinds degrade gracefully
             snapshots.append(("node", type(node).__name__))
@@ -141,13 +178,13 @@ class RewriteEvent:
 
 
 class RewriteRule:
-    """Base class: transform the bottom-up node list or decline."""
+    """Base class: transform the bottom-up operator list or decline."""
 
     name = "rewrite"
 
     def apply(
-        self, nodes: List[LogicalNode], stats=None
-    ) -> Optional[Tuple[List[LogicalNode], str]]:
+        self, nodes: List[PhysicalOp], stats=None
+    ) -> Optional[Tuple[List[PhysicalOp], str]]:
         raise NotImplementedError
 
 
@@ -157,11 +194,11 @@ MAX_PASSES = 8
 
 
 def apply_rules(
-    nodes: List[LogicalNode],
+    nodes: List[PhysicalOp],
     rules: List[RewriteRule],
     stats=None,
-) -> Tuple[List[LogicalNode], List[RewriteEvent]]:
-    """Run ``rules`` to a fixpoint over the node list."""
+) -> Tuple[List[PhysicalOp], List[RewriteEvent]]:
+    """Run ``rules`` to a fixpoint over the operator list."""
     events: List[RewriteEvent] = []
     before = snapshot_nodes(nodes)
     for _ in range(MAX_PASSES):

@@ -7,7 +7,7 @@ engine is an inner equi-join executed left-deep (batch |><| R1 |><| R2
 already available produces the same output *multiset* -- and under an
 aggregation (grouped output is emitted in sorted key order, and exact
 decimal aggregation is order-independent) the same output *rows*, bit
-for bit.  The rule therefore fires only below a ``LogicalAggregate``.
+for bit.  The rule therefore fires only below an aggregate operator.
 
 The search minimises the summed intermediate cardinalities, estimated
 with the statistics subsystem (:mod:`repro.engine.plan.stats`): each
@@ -17,7 +17,7 @@ build side pre-shrunk by its pushed-down predicates' selectivity.  With
 (bounded DP); beyond that a greedy smallest-intermediate-first pass
 keeps planning linear.
 
-Loose ``LogicalFilter`` nodes interleaved between joins (placed there by
+Loose ``FilterOp`` nodes interleaved between joins (placed there by
 an earlier pushdown firing) are hoisted into a single filter above the
 reordered joins -- legal for inner joins, which only add columns -- and
 the pushdown rule re-sinks them to their new lowest slots on the same
@@ -29,14 +29,8 @@ from __future__ import annotations
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
-from repro.engine.plan.logical import (
-    LogicalAggregate,
-    LogicalFilter,
-    LogicalJoin,
-    LogicalNode,
-    LogicalScan,
-)
-from repro.engine.plan.rules import RewriteRule
+from repro.engine.plan.physical import AggregationOp, FilterOp, JoinOp, PhysicalOp, ScanOp
+from repro.engine.plan.rules import RewriteRule, join_section
 
 #: Exhaustive permutation search up to this many joins; greedy beyond.
 DP_JOIN_LIMIT = 4
@@ -47,24 +41,18 @@ class JoinReorderRule(RewriteRule):
 
     name = "join-reorder"
 
-    def apply(self, nodes: List[LogicalNode], stats=None):
-        if stats is None or not nodes or not isinstance(nodes[0], LogicalScan):
+    def apply(self, nodes: List[PhysicalOp], stats=None):
+        found = join_section(nodes)
+        if stats is None or found is None:
             return None
+        section_end, joins, filters = found
         scan = nodes[0]
-        section_end = 1
-        while section_end < len(nodes) and isinstance(
-            nodes[section_end], (LogicalJoin, LogicalFilter)
-        ):
-            section_end += 1
-        section = nodes[1:section_end]
-        joins = [node for node in section if isinstance(node, LogicalJoin)]
-        filters = [node for node in section if isinstance(node, LogicalFilter)]
         if len(joins) < 2 or any(f.always_false for f in filters):
             return None
         # Bit-exactness gate: reordering permutes intermediate row order,
         # which only an aggregation above provably absorbs (sorted group
         # emission + exact, order-independent decimal reduction).
-        if not any(isinstance(node, LogicalAggregate) for node in nodes[section_end:]):
+        if not any(isinstance(node, AggregationOp) for node in nodes[section_end:]):
             return None
         if any(stats.table(join.join.table) is None for join in joins):
             return None
@@ -74,11 +62,11 @@ class JoinReorderRule(RewriteRule):
             return None
 
         reordered = [joins[index] for index in chosen]
-        rebuilt: List[LogicalNode] = [scan, *reordered]
+        rebuilt: List[PhysicalOp] = [scan, *reordered]
         loose = [p for node in filters for p in node.predicates]
         if loose:
             # One merged filter above the joins; pushdown re-sinks it.
-            rebuilt.append(LogicalFilter(loose))
+            rebuilt.append(FilterOp(loose))
         new_nodes = rebuilt + nodes[section_end:]
 
         current_cost = self._order_cost(scan, joins, list(range(len(joins))), stats)
@@ -94,7 +82,7 @@ class JoinReorderRule(RewriteRule):
     # ----------------------------------------------------------- estimation
 
     @staticmethod
-    def _estimate_join(left_rows: float, join: LogicalJoin, stats) -> float:
+    def _estimate_join(left_rows: float, join: JoinOp, stats) -> float:
         """Estimated output rows of one join step (catalog-row scale)."""
         from repro.engine.plan.cost import join_output_rows, predicate_selectivity
 
@@ -108,8 +96,8 @@ class JoinReorderRule(RewriteRule):
 
     def _order_cost(
         self,
-        scan: LogicalScan,
-        joins: Sequence[LogicalJoin],
+        scan: ScanOp,
+        joins: Sequence[JoinOp],
         order: Sequence[int],
         stats,
     ) -> float:
@@ -125,7 +113,7 @@ class JoinReorderRule(RewriteRule):
 
     @staticmethod
     def _available_after(
-        scan: LogicalScan, joins: Sequence[LogicalJoin], order: Sequence[int]
+        scan: ScanOp, joins: Sequence[JoinOp], order: Sequence[int]
     ) -> set:
         available = set(scan.columns)
         for index in order:
@@ -135,7 +123,7 @@ class JoinReorderRule(RewriteRule):
         return available
 
     def _is_valid(
-        self, scan: LogicalScan, joins: Sequence[LogicalJoin], order: Sequence[int]
+        self, scan: ScanOp, joins: Sequence[JoinOp], order: Sequence[int]
     ) -> bool:
         """Every join's probe key must exist when the join runs."""
         available = set(scan.columns)
@@ -148,7 +136,7 @@ class JoinReorderRule(RewriteRule):
         return True
 
     def _choose_order(
-        self, scan: LogicalScan, joins: Sequence[LogicalJoin], stats
+        self, scan: ScanOp, joins: Sequence[JoinOp], stats
     ) -> Optional[List[int]]:
         count = len(joins)
         if count <= DP_JOIN_LIMIT:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.engine.plan.logical import LogicalFilter, LogicalNode
+from repro.engine.plan.physical import AggregationOp, FilterOp, PhysicalOp
 from repro.engine.plan.rules import RewriteRule
 from repro.engine.sql.ast_nodes import Comparison
 from repro.errors import ReproError
@@ -61,10 +61,12 @@ class PredicateSimplifyRule(RewriteRule):
 
     name = "predicate-simplify"
 
-    def apply(self, nodes: List[LogicalNode], stats=None):
+    def apply(self, nodes: List[PhysicalOp], stats=None):
         changed_details: List[str] = []
         for node in nodes:
-            if not isinstance(node, LogicalFilter) or node.always_false:
+            if isinstance(node, AggregationOp):
+                break  # a filter after the aggregate is HAVING: left alone
+            if not isinstance(node, FilterOp) or node.always_false:
                 continue
             simplified = self._simplify(node.predicates, stats)
             if simplified is None:

@@ -13,43 +13,41 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from repro.engine.plan.logical import (
-    LogicalAggregate,
-    LogicalDrop,
-    LogicalFilter,
-    LogicalHaving,
-    LogicalJoin,
-    LogicalNode,
-    LogicalProject,
-    LogicalScan,
-    LogicalSort,
-    _mentions,
+from repro.engine.plan.physical import (
+    AggregationOp,
+    DropOp,
+    FilterOp,
+    JoinOp,
+    PhysicalOp,
+    ProjectOp,
+    ScanOp,
+    SortOp,
 )
-from repro.engine.plan.rules import RewriteRule
+from repro.engine.plan.rules import RewriteRule, mentions
 
 
-def _node_references(node: LogicalNode, candidates: Set[str]) -> Set[str]:
+def _node_references(node: PhysicalOp, candidates: Set[str]) -> Set[str]:
     """Columns of ``candidates`` that ``node`` itself consumes."""
     used: Set[str] = set()
-    if isinstance(node, (LogicalFilter, LogicalHaving)):
+    if isinstance(node, FilterOp):
         for predicate in node.predicates:
             used.add(predicate.column)
             if predicate.column_rhs is not None:
                 used.add(predicate.column_rhs)
-    elif isinstance(node, LogicalJoin):
+    elif isinstance(node, JoinOp):
         used.add(node.join.left_column)
         used.add(node.join.right_column)
-    elif isinstance(node, LogicalProject):
+    elif isinstance(node, ProjectOp):
         for item in node.items:
             text = str(item.expression)
-            used.update(name for name in candidates if _mentions(text, name))
+            used.update(name for name in candidates if mentions(text, name))
         used.update(node.carry)
-    elif isinstance(node, LogicalAggregate):
-        for item in node.aggregates:
+    elif isinstance(node, AggregationOp):
+        for item in node.items:
             text = item.expression.argument if item.is_aggregate else str(item.expression)
-            used.update(name for name in candidates if _mentions(text, name))
+            used.update(name for name in candidates if mentions(text, name))
         used.update(node.group_by)
-    elif isinstance(node, LogicalSort):
+    elif isinstance(node, SortOp):
         used.update(key.column for key in node.keys)
     return used & candidates if candidates else used
 
@@ -59,12 +57,12 @@ class SortKeyRetentionRule(RewriteRule):
 
     name = "sort-key-retention"
 
-    def apply(self, nodes: List[LogicalNode], stats=None):
+    def apply(self, nodes: List[PhysicalOp], stats=None):
         project_index = next(
-            (i for i, node in enumerate(nodes) if isinstance(node, LogicalProject)), None
+            (i for i, node in enumerate(nodes) if isinstance(node, ProjectOp)), None
         )
         sort_index = next(
-            (i for i, node in enumerate(nodes) if isinstance(node, LogicalSort)), None
+            (i for i, node in enumerate(nodes) if isinstance(node, SortOp)), None
         )
         if project_index is None or sort_index is None or sort_index < project_index:
             return None
@@ -73,9 +71,9 @@ class SortKeyRetentionRule(RewriteRule):
         outputs = {item.name for item in project.items}
         below: Set[str] = set()
         for node in nodes[:project_index]:
-            if isinstance(node, LogicalScan):
+            if isinstance(node, ScanOp):
                 below.update(node.columns)
-            elif isinstance(node, LogicalJoin):
+            elif isinstance(node, JoinOp):
                 below.update(node.right_columns)
         missing = [
             key.column
@@ -88,11 +86,11 @@ class SortKeyRetentionRule(RewriteRule):
             return None
         project.carry = list(project.carry) + missing
         drop_index = sort_index + 1
-        if drop_index < len(nodes) and isinstance(nodes[drop_index], LogicalDrop):
+        if drop_index < len(nodes) and isinstance(nodes[drop_index], DropOp):
             drop = nodes[drop_index]
             drop.columns = list(drop.columns) + missing
         else:
-            nodes = nodes[:drop_index] + [LogicalDrop(list(missing))] + nodes[drop_index:]
+            nodes = nodes[:drop_index] + [DropOp(list(missing))] + nodes[drop_index:]
         return nodes, f"carried sort key(s) {', '.join(missing)} through the projection"
 
 
@@ -101,16 +99,16 @@ class ProjectionPruningRule(RewriteRule):
 
     name = "projection-pruning"
 
-    def apply(self, nodes: List[LogicalNode], stats=None):
+    def apply(self, nodes: List[PhysicalOp], stats=None):
         pruned: List[str] = []
         for index, node in enumerate(nodes):
-            if isinstance(node, LogicalScan):
+            if isinstance(node, ScanOp):
                 keep = self._needed_above(nodes, index, set(node.columns))
                 dropped = [c for c in node.columns if c not in keep]
                 if dropped:
                     node.columns = [c for c in node.columns if c in keep]
                     pruned.extend(f"{c} (scan)" for c in dropped)
-            elif isinstance(node, LogicalJoin):
+            elif isinstance(node, JoinOp):
                 candidates = set(node.right_columns)
                 keep = self._needed_above(nodes, index, candidates)
                 # The build key must reach the device for the probe itself.
@@ -124,12 +122,12 @@ class ProjectionPruningRule(RewriteRule):
         return nodes, "pruned " + ", ".join(pruned)
 
     @staticmethod
-    def _needed_above(nodes: List[LogicalNode], index: int, candidates: Set[str]) -> Set[str]:
+    def _needed_above(nodes: List[PhysicalOp], index: int, candidates: Set[str]) -> Set[str]:
         needed: Set[str] = set()
         for node in nodes[index + 1 :]:
             needed |= _node_references(node, candidates)
         # The node's own join keys count too (the scan feeds the probe key).
         node = nodes[index]
-        if isinstance(node, LogicalJoin):
+        if isinstance(node, JoinOp):
             needed.add(node.join.right_column)
         return needed

@@ -17,13 +17,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.engine.plan.logical import (
-    LogicalFilter,
-    LogicalJoin,
-    LogicalNode,
-    LogicalScan,
-)
-from repro.engine.plan.rules import RewriteRule
+from repro.engine.plan.physical import FilterOp, JoinOp, PhysicalOp
+from repro.engine.plan.rules import RewriteRule, join_section
 from repro.engine.sql.ast_nodes import Comparison
 
 
@@ -39,25 +34,18 @@ class FilterPushdownRule(RewriteRule):
 
     name = "filter-pushdown"
 
-    def apply(self, nodes: List[LogicalNode], stats=None):
-        if not nodes or not isinstance(nodes[0], LogicalScan):
+    def apply(self, nodes: List[PhysicalOp], stats=None):
+        found = join_section(nodes)
+        if found is None:
             return None
+        section_end, joins, filters = found
         scan = nodes[0]
-        # The rewritable section: the leading run of joins and filters.
-        section_end = 1
-        while section_end < len(nodes) and isinstance(
-            nodes[section_end], (LogicalJoin, LogicalFilter)
-        ):
-            section_end += 1
-        section = nodes[1:section_end]
-        joins = [node for node in section if isinstance(node, LogicalJoin)]
-        filters = [node for node in section if isinstance(node, LogicalFilter)]
         if not filters or not joins:
             return None
         if any(f.always_false for f in filters):
             return None  # the plan is already empty below this point
 
-        def build_columns(join: LogicalJoin) -> set:
+        def build_columns(join: JoinOp) -> set:
             """Columns readable on the join's build (right) side."""
             columns = set(join.right_columns)
             columns.add(join.join.right_column)
@@ -94,21 +82,21 @@ class FilterPushdownRule(RewriteRule):
                     # so execution reports the missing column, not the planner.
                     slots[-1].append(predicate)
 
-        old_signature = self._signature([scan, *section])
+        old_signature = self._signature(nodes[:section_end])
         rebuilt_signature = self._rebuilt_signature(scan, joins, slots, build)
         if rebuilt_signature == old_signature:
             return None
 
         # Rebuild the section: scan, [filter], join1(+build preds), [filter], ...
-        rebuilt: List[LogicalNode] = [scan]
+        rebuilt: List[PhysicalOp] = [scan]
         if slots[0]:
-            rebuilt.append(LogicalFilter(slots[0]))
+            rebuilt.append(FilterOp(slots[0]))
         for index, join in enumerate(joins):
             if build[index]:
                 join.right_predicates = list(join.right_predicates) + build[index]
             rebuilt.append(join)
             if slots[index + 1]:
-                rebuilt.append(LogicalFilter(slots[index + 1]))
+                rebuilt.append(FilterOp(slots[index + 1]))
         new_nodes = rebuilt + nodes[section_end:]
 
         details = []
@@ -122,14 +110,12 @@ class FilterPushdownRule(RewriteRule):
         return new_nodes, detail
 
     @staticmethod
-    def _signature(nodes: List[LogicalNode]) -> Tuple:
-        parts: List[Tuple] = []
-        for node in nodes:
-            if isinstance(node, LogicalScan):
-                parts.append(("scan",))
-            elif isinstance(node, LogicalFilter):
+    def _signature(nodes: List[PhysicalOp]) -> Tuple:
+        parts: List[Tuple] = [("scan",)]
+        for node in nodes[1:]:
+            if isinstance(node, FilterOp):
                 parts.append(("filter", tuple(id(p) for p in node.predicates)))
-            elif isinstance(node, LogicalJoin):
+            elif isinstance(node, JoinOp):
                 parts.append(
                     ("join", node.join.table, tuple(id(p) for p in node.right_predicates))
                 )

@@ -28,7 +28,7 @@ from repro.core.jit.pipeline import JitOptions, KernelCache
 from repro.engine.executor import run_plan
 from repro.engine.plan.cost import CostModel, OptimizerConfig, PlanStats, TableStats
 from repro.engine.plan.physical import Batch, ExecutionReport, QueryContext
-from repro.engine.plan.planner import plan_query
+from repro.engine.plan.planner import PhysicalPlan, plan_query
 from repro.engine.sql.ast_nodes import Query
 from repro.engine.sql.parser import parse_query
 from repro.gpusim.device import DEFAULT_DEVICE, DEFAULT_HOST, GpuDevice, HostSystem
@@ -168,36 +168,8 @@ class Database:
         :class:`repro.errors.QueryCancelledError` (the serving layer's
         timeout path).
         """
-        query = parse_query(sql)
-        relation = self.catalog.get(query.table)
-        joined = {join.table: self.catalog.get(join.table) for join in query.joins}
-        sim = self._resolve_simulate_rows(simulate_rows, relation)
-        optimizer = optimizer if optimizer is not None else self.optimizer
-        cost_model = CostModel(self.device, self.host, include_scan=include_scan)
-        context = QueryContext(
-            relation=relation,
-            joined=joined,
-            simulate_rows=sim,
-            device=self.device,
-            host=self.host,
-            kernel_cache=self.kernel_cache,
-            jit_options=self.jit_options,
-            include_scan=include_scan,
-            streaming=streaming if streaming is not None else self.streaming,
-            cost_model=cost_model,
-            optimizer=optimizer,
-            residency=self.residency,
-            cancel_check=cancel_check,
-        )
-        chain = plan_query(
-            query,
-            relation.column_names,
-            {name: rel.column_names for name, rel in joined.items()},
-            stats=self._plan_stats(relation, joined, sim),
-            optimizer=optimizer,
-            cost_model=cost_model,
-            jit_options=self.jit_options,
-            label=query.table,
+        query, context, chain = self._plan(
+            sql, simulate_rows, streaming, optimizer, include_scan, cancel_check
         )
         batch = run_plan(chain, context)
         return QueryResult(
@@ -224,38 +196,63 @@ class Database:
         """
         from repro.engine.explain import explain_query
 
-        query = parse_query(sql)
-        relation = self.catalog.get(query.table)
-        joined = {join.table: self.catalog.get(join.table) for join in query.joins}
-        sim = self._resolve_simulate_rows(simulate_rows, relation)
-        optimizer = optimizer if optimizer is not None else self.optimizer
-        cost_model = CostModel(self.device, self.host)
-        chain = plan_query(
-            query,
-            relation.column_names,
-            {name: rel.column_names for name, rel in joined.items()},
-            stats=self._plan_stats(relation, joined, sim),
-            optimizer=optimizer,
-            cost_model=cost_model,
-            jit_options=self.jit_options,
-            label=query.table,
-        )
+        query, context, chain = self._plan(sql, simulate_rows, streaming, optimizer)
         result = explain_query(
             query,
             chain,
-            relation,
-            sim,
+            context.relation,
+            context.simulate_rows,
             self.jit_options,
             self.device,
-            joined=joined,
-            streaming=streaming if streaming is not None else self.streaming,
-            cost_model=cost_model,
-            optimizer=optimizer,
+            joined=context.joined,
+            streaming=context.streaming,
+            cost_model=context.cost_model,
+            optimizer=context.optimizer,
         )
         result.sql = sql.strip()
         return result
 
     # ------------------------------------------------------------ plumbing
+
+    def _plan(
+        self,
+        sql: str,
+        simulate_rows: Optional[int],
+        streaming: Optional[StreamingConfig],
+        optimizer: Optional[OptimizerConfig],
+        include_scan: bool = True,
+        cancel_check: Optional[Callable[[], bool]] = None,
+    ) -> Tuple[Query, QueryContext, PhysicalPlan]:
+        """Parse and plan ``sql``; the context holds what running it needs."""
+        query = parse_query(sql)
+        relation = self.catalog.get(query.table)
+        joined = {join.table: self.catalog.get(join.table) for join in query.joins}
+        context = QueryContext(
+            relation=relation,
+            joined=joined,
+            simulate_rows=self._resolve_simulate_rows(simulate_rows, relation),
+            device=self.device,
+            host=self.host,
+            kernel_cache=self.kernel_cache,
+            jit_options=self.jit_options,
+            include_scan=include_scan,
+            streaming=streaming if streaming is not None else self.streaming,
+            cost_model=CostModel(self.device, self.host, include_scan=include_scan),
+            optimizer=optimizer if optimizer is not None else self.optimizer,
+            residency=self.residency,
+            cancel_check=cancel_check,
+        )
+        chain = plan_query(
+            query,
+            relation.column_names,
+            {name: rel.column_names for name, rel in joined.items()},
+            stats=self._plan_stats(relation, joined, context.simulate_rows),
+            optimizer=context.optimizer,
+            cost_model=context.cost_model,
+            jit_options=self.jit_options,
+            label=query.table,
+        )
+        return query, context, chain
 
     def _plan_stats(self, relation: Relation, joined, simulate_rows: int) -> PlanStats:
         """Catalog statistics the planner's rules and cost model consume."""

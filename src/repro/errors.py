@@ -85,7 +85,7 @@ class EngineError(ReproError):
 
 
 class PlanningError(EngineError):
-    """The logical plan could not be converted to a physical plan."""
+    """The query could not be turned into an operator plan."""
 
 
 class ExecutionError(EngineError):

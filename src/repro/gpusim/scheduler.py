@@ -250,7 +250,11 @@ class DeviceScheduler:
 
     def simulate(self) -> ScheduleResult:
         """Run the closed-loop discrete-event simulation."""
-        pending = {session: list(stream) for session, stream in self._streams.items()}
+        # Sessions activate in sorted order, not submission order, so even
+        # the float sums over them are independent of thread timing.
+        pending = {
+            session: list(self._streams[session]) for session in sorted(self._streams)
+        }
         cursor = {session: 0 for session in pending}
         active: List[_Task] = []
         completed: List[ScheduledQuery] = []

@@ -13,10 +13,9 @@ from repro.analysis.plan import analyze_plan, check_rewrites
 from repro.analysis.plan import precision, rewrite_audit, schema_flow
 from repro.engine import Database
 from repro.engine.plan.cost import OptimizerConfig
-from repro.engine.plan.logical import LogicalFilter, _mentions, _referenced_columns
 from repro.engine.plan.physical import FilterOp, ProjectOp, ScanOp, SortOp
-from repro.engine.plan.planner import plan_query
-from repro.engine.plan.rules import RewriteEvent, RewriteRule, default_rules
+from repro.engine.plan.planner import _referenced_columns, plan_query
+from repro.engine.plan.rules import RewriteEvent, RewriteRule, mentions
 from repro.engine.sql.parser import parse_query
 from repro.errors import PlanAnalysisError
 
@@ -69,7 +68,7 @@ class BrokenPushdownRule(RewriteRule):
         if self.fired:
             return None
         for node in nodes:
-            if isinstance(node, LogicalFilter) and node.predicates:
+            if isinstance(node, FilterOp) and node.predicates:
                 node.predicates.pop()
                 self.fired = True
                 return nodes, "pushed 1 conjunct (dropped it, actually)"
@@ -191,9 +190,9 @@ class TestPrecisionProofs:
 
 class TestMentionsTokenMatching:
     def test_prefix_of_longer_identifier_is_not_a_mention(self):
-        assert not _mentions("o_orderkey2 + 1", "o_orderkey")
-        assert _mentions("o_orderkey + 1", "o_orderkey")
-        assert _mentions("SUM(o_orderkey)", "o_orderkey")
+        assert not mentions("o_orderkey2 + 1", "o_orderkey")
+        assert mentions("o_orderkey + 1", "o_orderkey")
+        assert mentions("SUM(o_orderkey)", "o_orderkey")
 
     def test_referenced_columns_skip_prefix_collisions(self):
         query = parse_query("SELECT o_orderkey2 FROM t")

@@ -99,3 +99,35 @@ class TestExplain:
         db.explain("SELECT a + 123456 FROM r")
         # The session cache is untouched by explain (it compiles privately).
         assert len(db.kernel_cache) == 0
+
+    def test_each_kernel_compiles_once(self, monkeypatch):
+        """EXPLAIN keeps each kernel's IR for the compile-time model
+        instead of compiling every expression a second time."""
+        from repro.core.jit import pipeline
+        from repro.engine import explain
+        from repro.storage import tpch
+        from repro.workloads.tpch_queries import Q1_SQL
+
+        compile_expression = pipeline.compile_expression
+        explain_query = explain.explain_query
+        inside, compiled = [], []
+
+        def counting_compile(text, *args, **kwargs):
+            if inside:
+                compiled.append(text)
+            return compile_expression(text, *args, **kwargs)
+
+        def tracked_explain(*args, **kwargs):
+            inside.append(True)
+            try:
+                return explain_query(*args, **kwargs)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(pipeline, "compile_expression", counting_compile)
+        monkeypatch.setattr(explain, "explain_query", tracked_explain)
+        db = Database(simulate_rows=1_000_000)
+        db.register(tpch.lineitem(rows=200))
+        explained = db.explain(Q1_SQL)
+        assert len(explained.kernels) == 2
+        assert sorted(compiled) == sorted(k.expression for k in explained.kernels)

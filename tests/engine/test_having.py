@@ -92,7 +92,8 @@ class TestHavingColumnReferences:
     """
 
     def test_having_only_column_survives_to_the_scan(self):
-        from repro.engine.plan.logical import LogicalScan, build_logical_plan
+        from repro.engine.plan.physical import ScanOp
+        from repro.engine.plan.planner import build_plan
         from repro.engine.sql.ast_nodes import (
             AggregateCall,
             Comparison,
@@ -105,10 +106,9 @@ class TestHavingColumnReferences:
             table="sales",
             having=[Comparison("cost", ">", 1)],
         )
-        node = build_logical_plan(query, ["region", "amount", "cost"])
-        while not isinstance(node, LogicalScan):
-            node = node.child
-        assert "cost" in node.columns
+        scan = build_plan(query, ["region", "amount", "cost"])[0]
+        assert isinstance(scan, ScanOp)
+        assert "cost" in scan.columns
 
     def test_having_over_non_selected_group_key(self, db):
         result = db.execute(

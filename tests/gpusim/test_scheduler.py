@@ -207,17 +207,26 @@ class TestSegmentsFromReport:
 
 class TestScheduler:
     def test_submission_order_across_sessions_is_irrelevant(self):
-        a = DeviceScheduler()
-        a.submit("x", [Segment(SM, 1.0)])
-        a.submit("y", [Segment(SM, 2.0)])
-        b = DeviceScheduler()
-        b.submit("y", [Segment(SM, 2.0)])
-        b.submit("x", [Segment(SM, 1.0)])
-        ra, rb = a.simulate(), b.simulate()
-        assert ra.makespan == pytest.approx(rb.makespan)
-        assert [q.latency for q in ra.queries] == pytest.approx(
-            [q.latency for q in rb.queries]
-        )
+        # SM segments share the array under processor sharing; HOST ones
+        # run in parallel, and 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1 in
+        # floating point, so any dependence on submission order shows up
+        # bit for bit.
+        cases = [
+            (SM, {"x": 1.0, "y": 2.0}),
+            (HOST, {"a": 0.1, "b": 0.2, "c": 0.3}),
+        ]
+        for kind, seconds in cases:
+            results = []
+            for order in (list(seconds), list(reversed(seconds))):
+                scheduler = DeviceScheduler()
+                for session in order:
+                    scheduler.submit(session, [Segment(kind, seconds[session])])
+                results.append(scheduler.simulate())
+            forward, backward = results
+            assert forward.serialized_seconds == backward.serialized_seconds
+            assert forward.makespan == backward.makespan
+            assert forward.busy_seconds == backward.busy_seconds
+            assert forward.queries == backward.queries
 
     def test_bookkeeping(self):
         scheduler = DeviceScheduler()
